@@ -4,9 +4,11 @@
 //! The criterion groups time CART both ways (materialized variants
 //! include the join + `Dataset` copy, factorized variants include
 //! building the `FactorizedView`, mirroring `benches/factorized.rs`)
-//! and a small GBT fit. Every factorized arm is asserted bit-for-bit
-//! equal to its materialized twin before timing starts, so a parity
-//! regression fails the bench instead of producing a fast wrong number.
+//! and a small GBT fit. Every fit uses a shuffled 50% train split, as
+//! the paper's protocol does, and every factorized arm is asserted
+//! bit-for-bit equal to its materialized twin before timing starts, so
+//! a parity regression fails the bench instead of producing a fast
+//! wrong number.
 //!
 //! A release run also self-times the same shapes with `Instant` and
 //! emits `BENCH_trees.json` at the repo root. `HAMLET_BENCH_QUICK=1`
@@ -23,12 +25,18 @@ use hamlet_experiments::factorized::fanout_star;
 use hamlet_factorized::FactorizedView;
 use hamlet_ml::classifier::Classifier;
 use hamlet_ml::dataset::Dataset;
+use hamlet_ml::split::HoldoutSplit;
 use hamlet_ml::CodeSource;
 use hamlet_obs::atomic_write;
 use hamlet_trees::{fit_factorized_gbt, fit_factorized_tree, CartTree, Gbt};
 
 const N_S: usize = 10_000;
 const D_R: usize = 6;
+
+/// The shuffled train half of the paper's 50/25/25 holdout.
+fn train_rows(n_s: usize) -> Vec<usize> {
+    HoldoutSplit::paper_protocol(n_s, 42).train
+}
 
 fn bench_trees(c: &mut Criterion) {
     let cart = CartTree::default();
@@ -41,7 +49,7 @@ fn bench_trees(c: &mut Criterion) {
     g.sample_size(10);
     for ratio in [1usize, 10, 100] {
         let star = fanout_star(N_S, ratio, D_R, 42);
-        let rows: Vec<usize> = (0..star.n_s()).collect();
+        let rows = train_rows(star.n_s());
 
         // Parity gate: never time a factorized path that drifted.
         {
@@ -119,7 +127,7 @@ fn emit_summary() {
     let mut entries = Vec::new();
     for ratio in [1usize, 10, 100] {
         let star = fanout_star(n_s, ratio, D_R, 42);
-        let rows: Vec<usize> = (0..star.n_s()).collect();
+        let rows = train_rows(star.n_s());
 
         let wide = star.materialize_all().unwrap();
         let data = Dataset::from_table(&wide);
@@ -129,6 +137,11 @@ fn emit_summary() {
             cart.fit(&data, &rows, &feats),
             fit_factorized_tree(&view, &cart, &rows, &feats),
             "CART parity broke at ratio {ratio}"
+        );
+        assert_eq!(
+            gbt.fit(&data, &rows, &feats),
+            fit_factorized_gbt(&view, &gbt, &rows, &feats),
+            "GBT parity broke at ratio {ratio}"
         );
 
         let cart_mat_s = time_secs(
@@ -148,6 +161,15 @@ fn emit_summary() {
             },
             reps,
         );
+        let gbt_mat_s = time_secs(
+            || {
+                let wide = star.materialize_all().unwrap();
+                let data = Dataset::from_table(&wide);
+                let feats: Vec<usize> = (0..data.n_features()).collect();
+                gbt.fit(&data, &rows, &feats)
+            },
+            reps,
+        );
         let gbt_fac_s = time_secs(
             || {
                 let view = FactorizedView::new(&star).unwrap();
@@ -160,10 +182,13 @@ fn emit_summary() {
             "  {{\"tuple_ratio\": {ratio}, \"n_train\": {}, \
              \"cart_materialized_s\": {cart_mat_s:.4}, \
              \"cart_factorized_s\": {cart_fac_s:.4}, \
+             \"gbt_materialized_s\": {gbt_mat_s:.4}, \
              \"gbt_factorized_s\": {gbt_fac_s:.4}, \
-             \"cart_speedup_factorized\": {:.2}}}",
+             \"cart_speedup_factorized\": {:.2}, \
+             \"gbt_speedup_factorized\": {:.2}}}",
             rows.len(),
             cart_mat_s / cart_fac_s,
+            gbt_mat_s / gbt_fac_s,
         ));
     }
     let doc = format!(

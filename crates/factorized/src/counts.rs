@@ -71,7 +71,7 @@ fn merge_in_order(len: usize, partials: Vec<Vec<u64>>) -> Vec<u64> {
 /// The FK slot (position in the view's join set) that resolves feature
 /// `f`, or `None` when `f` is a base (entity-table) feature.
 pub fn foreign_fk(view: &FactorizedView<'_>, f: usize) -> Option<usize> {
-    view.foreign_fk_slot(f)
+    view.keyed_codes(f).map(|k| k.key)
 }
 
 /// Dense `count(FK = fk, Y = y | rows)` histogram for FK slot `fk`,
@@ -106,17 +106,18 @@ pub fn fk_class_counts(view: &FactorizedView<'_>, fk: usize, rows: &[usize]) -> 
 /// as they would be dropped by the inner join. Returns `None` when `f`
 /// is not a foreign feature.
 pub fn fold_through_fk(view: &FactorizedView<'_>, f: usize, dense: &[u64]) -> Option<Vec<u64>> {
-    let (idx, r_codes, d) = view.joined_origin(f)?;
+    let k = view.keyed_codes(f)?;
+    let d = view.feature_domain_size(f);
     let c = view.n_classes();
-    let n_r = idx.rid_to_row.len();
+    let n_r = k.rid_to_row.len();
     let fold = |range: std::ops::Range<usize>| {
         let mut counts = vec![0u64; c * d];
         for fk_code in range {
-            let row = idx.rid_to_row[fk_code];
+            let row = k.rid_to_row[fk_code];
             if row == u32::MAX {
                 continue;
             }
-            let v = r_codes[row as usize] as usize;
+            let v = k.codes[row as usize] as usize;
             for y in 0..c {
                 counts[y * d + v] += dense[fk_code * c + y];
             }

@@ -56,10 +56,9 @@ pub fn fit_factorized_nb(
     let mut fk_y_counts: Vec<Option<Vec<u64>>> = Vec::new();
     fk_y_counts.resize_with(view.fk_indices.len(), || None);
     for (i, fk) in view.fk_indices.iter().enumerate() {
-        let needed = feats.iter().any(|&f| {
-            view.joined_origin(f)
-                .is_some_and(|(origin, _, _)| std::ptr::eq(origin, fk))
-        });
+        let needed = feats
+            .iter()
+            .any(|&f| view.keyed_codes(f).is_some_and(|k| k.key == i));
         if !needed {
             continue;
         }
@@ -82,7 +81,7 @@ pub fn fit_factorized_nb(
     for &f in feats {
         let d = view.feature_domain_size(f);
         let mut counts = vec![0u64; n_classes * d];
-        match view.joined_origin(f) {
+        match view.keyed_codes(f) {
             None => {
                 // Entity feature (or FK-as-feature): count on S directly.
                 for &r in rows {
@@ -91,19 +90,14 @@ pub fn fit_factorized_nb(
                     counts[y * d + v] += 1;
                 }
             }
-            Some((origin, r_codes, _)) => {
-                let i = view
-                    .fk_indices
-                    .iter()
-                    .position(|fk| std::ptr::eq(fk, origin))
-                    .expect("origin comes from this view");
-                let dense = fk_y_counts[i].as_ref().expect("counted above");
+            Some(k) => {
+                let dense = fk_y_counts[k.key].as_ref().expect("counted above");
                 // Map FK groups through R: one pass over the FK domain.
-                for (fk_code, row) in origin.rid_to_row.iter().enumerate() {
+                for (fk_code, row) in k.rid_to_row.iter().enumerate() {
                     if *row == u32::MAX {
                         continue; // RID absent from R; nothing references it
                     }
-                    let v = r_codes[*row as usize] as usize;
+                    let v = k.codes[*row as usize] as usize;
                     for y in 0..n_classes {
                         counts[y * d + v] += dense[fk_code * n_classes + y];
                     }

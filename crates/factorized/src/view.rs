@@ -9,7 +9,7 @@
 //! array reads. Memory stays `O(n_S + Σ n_Ri)` instead of the
 //! materialized `O(n_S × (d_S + Σ d_Ri))`.
 
-use hamlet_ml::CodeSource;
+use hamlet_ml::{CodeSource, KeyedCodes};
 use hamlet_relational::catalog::StarSchema;
 use hamlet_relational::{RelationalError, Result, Role};
 
@@ -206,23 +206,6 @@ impl<'a> FactorizedView<'a> {
             .position(|n| n == name)
     }
 
-    /// For a joined (foreign) feature position, the index of the FK that
-    /// resolves it plus its attribute-table column codes; `None` for base
-    /// features.
-    pub(crate) fn joined_origin(&self, f: usize) -> Option<(&FkIndex<'a>, &'a [u32], usize)> {
-        let j = f.checked_sub(self.base.len())?;
-        let jc = self.joined.get(j)?;
-        Some((&self.fk_indices[jc.fk], jc.codes, jc.domain_size))
-    }
-
-    /// The FK slot (index into this view's join set) resolving feature
-    /// `f`, or `None` for base features. Slots are what the pushed-down
-    /// count aggregates in [`crate::counts`] are keyed by.
-    pub(crate) fn foreign_fk_slot(&self, f: usize) -> Option<usize> {
-        let j = f.checked_sub(self.base.len())?;
-        Some(self.joined.get(j)?.fk)
-    }
-
     /// Cells of the denormalized join output this view never allocates:
     /// `n_S × Σ d_Ri` over the joined tables. The advisor quotes this as
     /// the estimated memory saved by Factorize.
@@ -271,6 +254,20 @@ impl CodeSource for FactorizedView<'_> {
 
     fn label(&self, row: usize) -> u32 {
         self.labels[row]
+    }
+
+    /// Joined features are keyed by their FK slot (index into this
+    /// view's join set), which is also what the pushed-down count
+    /// aggregates in [`crate::counts`] are keyed by.
+    fn keyed_codes(&self, f: usize) -> Option<KeyedCodes<'_>> {
+        let jc = self.joined.get(f.checked_sub(self.base.len())?)?;
+        let idx = &self.fk_indices[jc.fk];
+        Some(KeyedCodes {
+            key: jc.fk,
+            fk_codes: idx.fk_codes,
+            rid_to_row: &idx.rid_to_row,
+            codes: jc.codes,
+        })
     }
 }
 
@@ -366,6 +363,28 @@ pub(crate) mod tests {
                 for r in 0..mat.n_examples() {
                     assert_eq!(view.code(f, r), mat.feature(f).codes[r]);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_codes_describe_joined_features_only() {
+        let star = two_table_star();
+        let view = FactorizedView::with_join_set(&star, &[1, 0]).unwrap();
+        for f in 0..view.n_base_features() {
+            assert!(view.keyed_codes(f).is_none(), "base feature {f}");
+        }
+        // Join order [B, A]: b1 resolves through slot 0, a1 and a2
+        // through slot 1.
+        let keys: Vec<usize> = (view.n_base_features()..CodeSource::n_features(&view))
+            .map(|f| view.keyed_codes(f).unwrap().key)
+            .collect();
+        assert_eq!(keys, [0, 1, 1]);
+        for f in view.n_base_features()..CodeSource::n_features(&view) {
+            let k = view.keyed_codes(f).unwrap();
+            for r in 0..CodeSource::n_examples(&view) {
+                let row = k.rid_to_row[k.fk_codes[r] as usize] as usize;
+                assert_eq!(k.codes[row], view.code(f, r), "code ({f},{r})");
             }
         }
     }

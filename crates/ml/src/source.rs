@@ -37,6 +37,30 @@ pub trait CodeSource {
 
     /// Label of example `row`.
     fn label(&self, row: usize) -> u32;
+
+    /// How feature `f` is stored when it lives behind a foreign key, so
+    /// a scan over many rows can resolve the key once per row and share
+    /// the result across every feature with the same `key`. `None` (the
+    /// default) means the feature is only reachable through
+    /// [`CodeSource::code`].
+    fn keyed_codes(&self, _f: usize) -> Option<KeyedCodes<'_>> {
+        None
+    }
+}
+
+/// FK-keyed storage of one feature column:
+/// `code(f, row) == codes[rid_to_row[fk_codes[row]]]`.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyedCodes<'a> {
+    /// Identifies the foreign key; features with equal keys share
+    /// `fk_codes` and `rid_to_row`.
+    pub key: usize,
+    /// FK code of every example (length `n_examples`).
+    pub fk_codes: &'a [u32],
+    /// Attribute-table row of every FK code.
+    pub rid_to_row: &'a [u32],
+    /// The feature's codes by attribute-table row.
+    pub codes: &'a [u32],
 }
 
 impl CodeSource for Dataset {
@@ -92,5 +116,6 @@ mod tests {
         assert_eq!(d.feature_name(0), "a");
         assert_eq!(d.code(0, 1), 2);
         assert_eq!(d.label(2), 1);
+        assert!(d.keyed_codes(0).is_none());
     }
 }

@@ -11,10 +11,14 @@
 //! is the `n_R × |D_Y|` FK histogram — independent of join fanout.
 //!
 //! GBT aggregates are float residual sums, where order matters; there
-//! the factorized path runs the same generic row-order scan as the
-//! materialized one, reading codes through FK indirection
-//! ([`hamlet_factorized::FactorizedView`]'s [`CodeSource`] impl) with
-//! zero wide-table allocation.
+//! the factorized path runs the same scan as the materialized one, over
+//! a train-position frame (see [`crate::gbt`]). Entity features are
+//! gathered in train order; each FK is resolved once per training row
+//! into an attribute-row array ([`CodeSource::keyed_codes`]) that all of
+//! its table's features share, and foreign codes are read from the
+//! attribute columns. Every residual bucket receives the same addends
+//! in the same order as on the materialized path. The frame allocates
+//! `O(n_train × (d_S + k))` and never a foreign column.
 
 use hamlet_factorized::{class_conditional_counts, FactorizedView};
 use hamlet_ml::CodeSource;

@@ -7,19 +7,36 @@
 //! nearest class at prediction time (ties to the lower class — the
 //! same lowest-index-wins rule every argmax in this workspace uses).
 //!
+//! Layout: each fit first builds a *train-position frame*. Position `p`
+//! stands for entity row `rows[p]`; residuals and scores are
+//! `n_train`-long arrays indexed by position, and every node is an
+//! ascending run of positions in one per-fit permutation array, so each
+//! split scan walks memory forward. Features the source stores directly
+//! (every feature of a `Dataset`, the entity columns of a
+//! `FactorizedView`) are gathered into one column per feature in train
+//! order. Foreign features of a `FactorizedView` are never gathered: the
+//! frame resolves each FK once per position into an attribute-row array
+//! shared by all of that table's features
+//! ([`CodeSource::keyed_codes`]) and reads codes from the small
+//! attribute column. The factorized frame therefore allocates
+//! `O(n_train × (d_S + k))` for `d_S` entity features and `k` FKs,
+//! never a foreign column.
+//!
 //! Determinism discipline: unlike CART's integer count tables, the
 //! split aggregates here are **float residual sums**, so summation
-//! order matters. Every aggregate is accumulated by scanning the node's
-//! rows in ascending entity-row order, generic over [`CodeSource`] —
-//! the factorized path reads codes through FK indirection instead of a
-//! wide table, executing the *same* float additions in the *same*
-//! order. Materialized and factorized GBT models are therefore bitwise
-//! identical, and split scoring parallelism (chunked over candidate
-//! features, reduced in feature order) cannot perturb them.
+//! order matters. Each tree's root run is `0..n_train`, i.e. the order
+//! of `rows`, and a split partitions its node's run stably, in place,
+//! so every node's positions are a subsequence of that root order and
+//! every per-value bucket receives the same addends in the same order
+//! whatever the storage behind the codes. Materialized and factorized
+//! GBT models are therefore bitwise identical, and split scoring
+//! parallelism (chunked over candidate features, reduced in feature
+//! order) cannot perturb them.
 
 use hamlet_ml::classifier::{Classifier, Model};
 use hamlet_ml::dataset::Dataset;
 use hamlet_ml::CodeSource;
+use hamlet_obs::env::EnvError;
 use hamlet_obs::parallel::run_indexed;
 
 use crate::cart::{check_arena, majority, TreeError, GAIN_TOL};
@@ -62,19 +79,33 @@ impl Gbt {
     /// value is journaled as a warning and the default is kept (the
     /// same non-strict policy as `HAMLET_THREADS`).
     pub fn from_env() -> Self {
-        let rounds =
-            hamlet_obs::env::var_where("HAMLET_GBT_ROUNDS", "a positive integer", |&r: &usize| {
-                r > 0
-            })
-            .unwrap_or_else(|e| {
-                hamlet_obs::journal::record_warning(format!("{e}; using default"));
-                None
-            })
-            .unwrap_or(DEFAULT_GBT_ROUNDS);
+        let rounds = rounds_setting(std::env::var_os(ROUNDS_VAR).as_deref()).unwrap_or_else(|e| {
+            hamlet_obs::journal::record_warning(format!("{e}; using default"));
+            DEFAULT_GBT_ROUNDS
+        });
         Self {
             rounds,
             ..Self::default()
         }
+    }
+}
+
+const ROUNDS_VAR: &str = "HAMLET_GBT_ROUNDS";
+
+/// The rounds a raw `HAMLET_GBT_ROUNDS` value asks for: the default when
+/// unset, the value when it is a positive integer (surrounding
+/// whitespace allowed), an error naming the value otherwise.
+fn rounds_setting(raw: Option<&std::ffi::OsStr>) -> Result<usize, EnvError> {
+    let Some(raw) = raw else {
+        return Ok(DEFAULT_GBT_ROUNDS);
+    };
+    match raw.to_str().map(|s| s.trim().parse::<usize>()) {
+        Some(Ok(r)) if r > 0 => Ok(r),
+        _ => Err(EnvError {
+            key: ROUNDS_VAR.to_string(),
+            value: raw.to_string_lossy().into_owned(),
+            expected: "a positive integer".to_string(),
+        }),
     }
 }
 
@@ -251,7 +282,7 @@ impl Model for GbtModel {
 /// Best one-vs-rest split of one feature for least squares: maximizes
 /// `sum_l²/n_l + sum_r²/n_r` (variance reduction up to node constants).
 /// Aggregates come in per-value; both paths filled them in identical
-/// row order, so everything here is a pure function of identical
+/// position order, so everything here is a pure function of identical
 /// floats.
 fn best_reg_split(
     cnt: &[u64],
@@ -278,40 +309,140 @@ fn best_reg_split(
     best
 }
 
-/// Grows one regression subtree over `rows`, updating `scores` for every
-/// row that lands in a created leaf (leaves are created in deterministic
-/// order, and each row belongs to exactly one).
+/// The training rows of one fit, laid out by train position: position
+/// `p` stands for entity row `rows[p]`, and every per-row array of the
+/// fit is indexed by position. Built once per fit.
+struct Frame<'s> {
+    /// One column per entry of the fit's `feats`, in that order.
+    cols: Vec<FrameCol<'s>>,
+    /// Attribute-table row of every position, one array per FK key.
+    attr_rows: Vec<Vec<u32>>,
+}
+
+struct FrameCol<'s> {
+    feature: usize,
+    domain: usize,
+    codes: ColCodes<'s>,
+}
+
+enum ColCodes<'s> {
+    /// Codes gathered in train order.
+    Gathered(Vec<u32>),
+    /// Codes read from the attribute column at `attr_rows[at][p]`.
+    Keyed { at: usize, codes: &'s [u32] },
+}
+
+impl<'s> Frame<'s> {
+    fn build<S: CodeSource>(src: &'s S, rows: &[usize], feats: &[usize]) -> Self {
+        let mut frame = Self {
+            cols: Vec::with_capacity(feats.len()),
+            attr_rows: Vec::new(),
+        };
+        let mut keys = Vec::new();
+        for &f in feats {
+            let codes = match src.keyed_codes(f) {
+                Some(k) => {
+                    let at = match keys.iter().position(|&key| key == k.key) {
+                        Some(at) => at,
+                        None => {
+                            keys.push(k.key);
+                            frame.attr_rows.push(
+                                rows.iter()
+                                    .map(|&r| k.rid_to_row[k.fk_codes[r] as usize])
+                                    .collect(),
+                            );
+                            keys.len() - 1
+                        }
+                    };
+                    ColCodes::Keyed { at, codes: k.codes }
+                }
+                None => ColCodes::Gathered(rows.iter().map(|&r| src.code(f, r)).collect()),
+            };
+            frame.cols.push(FrameCol {
+                feature: f,
+                domain: src.feature_domain_size(f).max(1),
+                codes,
+            });
+        }
+        frame
+    }
+
+    /// Code of column `c` at position `p`.
+    fn code(&self, c: usize, p: usize) -> u32 {
+        match &self.cols[c].codes {
+            ColCodes::Gathered(codes) => codes[p],
+            ColCodes::Keyed { at, codes } => codes[self.attr_rows[*at][p] as usize],
+        }
+    }
+
+    /// Row count and residual sum per value of column `c` over `pos`,
+    /// each bucket accumulated in `pos` order.
+    fn bucket_sums(&self, c: usize, pos: &[usize], residual: &[f64]) -> (Vec<u64>, Vec<f64>) {
+        let d = self.cols[c].domain;
+        let mut cnt = vec![0u64; d];
+        let mut sum = vec![0.0f64; d];
+        let mut add = |v: u32, p: usize| {
+            let v = v as usize;
+            if v < d {
+                cnt[v] += 1;
+                sum[v] += residual[p];
+            }
+        };
+        // One loop per storage kind, so the match stays out of the scan.
+        match &self.cols[c].codes {
+            ColCodes::Gathered(codes) => {
+                for &p in pos {
+                    add(codes[p], p);
+                }
+            }
+            ColCodes::Keyed { at, codes } => {
+                let attr_rows = &self.attr_rows[*at];
+                for &p in pos {
+                    add(codes[attr_rows[p] as usize], p);
+                }
+            }
+        }
+        (cnt, sum)
+    }
+}
+
+/// Grows one regression subtree over the ascending positions `pos`,
+/// updating `scores` for every position that lands in a created leaf
+/// (leaves are created in deterministic order, and each position
+/// belongs to exactly one). Splits partition `pos` in place, using
+/// `scratch` (at least as long as `pos`) for the right side.
 #[allow(clippy::too_many_arguments)]
-fn grow_reg<S: CodeSource + Sync>(
+fn grow_reg(
     cfg: &Gbt,
-    src: &S,
+    frame: &Frame<'_>,
     residual: &[f64],
-    rows: &[usize],
-    feats: &[usize],
+    pos: &mut [usize],
+    scratch: &mut [usize],
     depth: usize,
     threads: usize,
     nodes: &mut Vec<RegNode>,
     scores: &mut [f64],
 ) -> u32 {
-    let n = rows.len() as u64;
+    let n = pos.len() as u64;
     let mut total = 0.0;
-    for &r in rows {
-        total += residual[r];
+    for &p in pos.iter() {
+        total += residual[p];
     }
-    let mean = if rows.is_empty() {
+    let mean = if pos.is_empty() {
         0.0
     } else {
-        total / rows.len() as f64
+        total / pos.len() as f64
     };
-    let leaf = |nodes: &mut Vec<RegNode>, scores: &mut [f64]| {
+    let leaf = |nodes: &mut Vec<RegNode>, scores: &mut [f64], pos: &[usize]| {
         nodes.push(RegNode::Leaf { value: mean });
-        for &r in rows {
-            scores[r] += cfg.learning_rate * mean;
+        for &p in pos {
+            scores[p] += cfg.learning_rate * mean;
         }
         (nodes.len() - 1) as u32
     };
-    if depth >= cfg.max_depth || rows.len() < cfg.min_samples_split || feats.is_empty() {
-        return leaf(nodes, scores);
+    let n_cols = frame.cols.len();
+    if depth >= cfg.max_depth || pos.len() < cfg.min_samples_split {
+        return leaf(nodes, scores, pos);
     }
 
     let parent_score = if n == 0 {
@@ -319,28 +450,15 @@ fn grow_reg<S: CodeSource + Sync>(
     } else {
         total * total / n as f64
     };
-    let chunk = feats.len().div_ceil(threads.max(1)).max(1);
-    let n_chunks = feats.len().div_ceil(chunk);
+    let chunk = n_cols.div_ceil(threads.max(1)).max(1);
+    let n_chunks = n_cols.div_ceil(chunk);
     let per_chunk = run_indexed(n_chunks, threads, &|ci| {
         let lo = ci * chunk;
-        let hi = (lo + chunk).min(feats.len());
-        feats[lo..hi]
-            .iter()
-            .map(|&f| {
-                let d = src.feature_domain_size(f).max(1);
-                let mut cnt = vec![0u64; d];
-                let mut sum = vec![0.0f64; d];
-                // Rows are scanned in node order — the same order on the
-                // materialized and factorized paths, so the per-bucket
-                // float sums are bitwise identical.
-                for &r in rows {
-                    let v = src.code(f, r) as usize;
-                    if v < d {
-                        cnt[v] += 1;
-                        sum[v] += residual[r];
-                    }
-                }
-                best_reg_split(&cnt, &sum, n, total, parent_score).map(|(v, g)| (f, v, g))
+        let hi = (lo + chunk).min(n_cols);
+        (lo..hi)
+            .map(|c| {
+                let (cnt, sum) = frame.bucket_sums(c, pos, residual);
+                best_reg_split(&cnt, &sum, n, total, parent_score).map(|(v, g)| (c, v, g))
             })
             .collect::<Vec<_>>()
     });
@@ -350,31 +468,36 @@ fn grow_reg<S: CodeSource + Sync>(
             best = Some(cand);
         }
     }
-    let Some((feature, value, gain)) = best else {
-        return leaf(nodes, scores);
+    let Some((col, value, gain)) = best else {
+        return leaf(nodes, scores, pos);
     };
     if gain <= GAIN_TOL {
-        return leaf(nodes, scores);
+        return leaf(nodes, scores, pos);
     }
 
-    let mut left_rows = Vec::new();
-    let mut right_rows = Vec::new();
-    for &r in rows {
-        if src.code(feature, r) == value {
-            left_rows.push(r);
+    // A stable partition: both sides stay ascending.
+    let (mut n_left, mut n_right) = (0, 0);
+    for i in 0..pos.len() {
+        let p = pos[i];
+        if frame.code(col, p) == value {
+            pos[n_left] = p;
+            n_left += 1;
         } else {
-            right_rows.push(r);
+            scratch[n_right] = p;
+            n_right += 1;
         }
     }
-    if left_rows.is_empty() || right_rows.is_empty() {
-        return leaf(nodes, scores);
+    pos[n_left..].copy_from_slice(&scratch[..n_right]);
+    if n_left == 0 || n_right == 0 {
+        return leaf(nodes, scores, pos);
     }
+    let (left_pos, right_pos) = pos.split_at_mut(n_left);
     let left = grow_reg(
         cfg,
-        src,
+        frame,
         residual,
-        &left_rows,
-        feats,
+        left_pos,
+        scratch,
         depth + 1,
         threads,
         nodes,
@@ -382,17 +505,17 @@ fn grow_reg<S: CodeSource + Sync>(
     );
     let right = grow_reg(
         cfg,
-        src,
+        frame,
         residual,
-        &right_rows,
-        feats,
+        right_pos,
+        scratch,
         depth + 1,
         threads,
         nodes,
         scores,
     );
     nodes.push(RegNode::Split {
-        feature,
+        feature: frame.cols[col].feature,
         value,
         left,
         right,
@@ -404,7 +527,8 @@ impl Gbt {
     /// Fits over any [`CodeSource`]: hand it a `Dataset` for the
     /// materialized path or a `FactorizedView` for the
     /// zero-materialization path — both run the identical float
-    /// program.
+    /// program. Each entry of `rows` is one training sample, and its
+    /// position in `rows` fixes the order residuals are summed in.
     pub fn fit_source<S: CodeSource + Sync>(
         &self,
         src: &S,
@@ -415,7 +539,6 @@ impl Gbt {
             .threads
             .unwrap_or_else(hamlet_obs::env::resolved_threads);
         let n_classes = src.n_classes();
-        let n_total = src.n_examples();
 
         if feats.is_empty() || rows.is_empty() {
             // Majority-class predictor, per the Classifier contract: a
@@ -437,28 +560,31 @@ impl Gbt {
             };
         }
 
+        let frame = Frame::build(src, rows, feats);
         let mut total = 0.0;
         for &r in rows {
             total += src.label(r) as f64;
         }
         let base = total / rows.len() as f64;
-        let mut scores = vec![0.0f64; n_total];
-        for &r in rows {
-            scores[r] = base;
-        }
-        let mut residual = vec![0.0f64; n_total];
+        let mut scores = vec![base; rows.len()];
+        let mut residual = vec![0.0f64; rows.len()];
+        let mut pos = vec![0usize; rows.len()];
+        let mut scratch = vec![0usize; rows.len()];
         let mut trees = Vec::with_capacity(self.rounds);
         for _ in 0..self.rounds {
-            for &r in rows {
-                residual[r] = src.label(r) as f64 - scores[r];
+            for ((res, &r), &s) in residual.iter_mut().zip(rows).zip(&scores) {
+                *res = src.label(r) as f64 - s;
+            }
+            for (i, p) in pos.iter_mut().enumerate() {
+                *p = i;
             }
             let mut nodes = Vec::new();
             let root = grow_reg(
                 self,
-                src,
+                &frame,
                 &residual,
-                rows,
-                feats,
+                &mut pos,
+                &mut scratch,
                 0,
                 threads,
                 &mut nodes,
@@ -601,10 +727,25 @@ mod tests {
     }
 
     #[test]
-    fn rounds_env_override_applies() {
-        std::env::set_var("HAMLET_GBT_ROUNDS", "7");
-        assert_eq!(Gbt::from_env().rounds, 7);
-        std::env::remove_var("HAMLET_GBT_ROUNDS");
-        assert_eq!(Gbt::from_env().rounds, DEFAULT_GBT_ROUNDS);
+    fn rounds_setting_accepts_positive_integers_only() {
+        use std::ffi::OsStr;
+        assert_eq!(rounds_setting(None), Ok(DEFAULT_GBT_ROUNDS));
+        assert_eq!(rounds_setting(Some(OsStr::new("7"))), Ok(7));
+        assert_eq!(rounds_setting(Some(OsStr::new(" 12 "))), Ok(12));
+        for bad in ["0", "-3", "many", "", "2.5"] {
+            let e = rounds_setting(Some(OsStr::new(bad))).unwrap_err();
+            assert_eq!(e.key, "HAMLET_GBT_ROUNDS");
+            assert_eq!(e.value, bad);
+            assert!(e.to_string().contains("positive integer"), "{e}");
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn rounds_setting_rejects_non_utf8() {
+        use std::os::unix::ffi::OsStrExt;
+        let raw = std::ffi::OsStr::from_bytes(&[0x37, 0x80]);
+        let e = rounds_setting(Some(raw)).unwrap_err();
+        assert!(e.value.starts_with('7'), "{e:?}");
     }
 }

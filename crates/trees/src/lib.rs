@@ -6,8 +6,10 @@
 //! * **Factorized** — over a `FactorizedView`, with CART split
 //!   statistics assembled from pushed-down per-table class-conditional
 //!   count aggregates (the JoinBoost recipe) and GBT residual sums
-//!   streamed through FK indirection, so **no join is ever
-//!   materialized** and peak allocation does not scale with fanout.
+//!   scanned over a train-position frame that resolves each FK once per
+//!   training row and reads foreign codes from the attribute tables, so
+//!   **no join is ever materialized** and peak allocation scales with
+//!   neither fanout nor the number of foreign features.
 //!
 //! Both learners implement `Classifier` and `SweepFit`, so
 //! forward/backward/filter selection sweeps run on trees through the
