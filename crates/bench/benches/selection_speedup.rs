@@ -1,13 +1,15 @@
-//! The sufficient-statistics engine's speedup claim: greedy wrapper
-//! selection with Naive Bayes, seed path (serial, one full row-scanning
-//! fit per candidate) vs [`hamlet_fs::SweepEngine`] (cached count
-//! tables, O(1) candidate assembly, parallel sweeps).
+//! The sufficient-statistics engine's speedup claim: the four selection
+//! methods with Naive Bayes, seed path (serial, one full row-scanning
+//! fit per candidate subset) vs [`hamlet_fs::SweepEngine`] (cached count
+//! tables, batched sweeps with certified O(k) scoring per row).
 //!
-//! Besides the criterion groups (bench scale, so iterations stay tight),
-//! a release run self-times the wrappers at Fig-7 scale with `Instant`
-//! and emits `BENCH_selection.json` at the repo root: wall-clock per
-//! wrapper × {uncached serial, cached serial, cached parallel} plus the
-//! headline speedup. `HAMLET_BENCH_QUICK=1` drops the emission to bench
+//! Two JoinAll inputs: Walmart (14 features, short sweep tails) and
+//! Yelp (40 features, where replaying each trial's tail would cost
+//! O(k²) per row). Besides the criterion groups (bench scale, so
+//! iterations stay tight), a release run self-times every method at
+//! Fig-7 scale with `Instant` and emits `BENCH_selection.json` at the
+//! repo root: wall-clock per dataset × method × {uncached serial,
+//! cached serial, cached parallel} plus the headline speedup. `HAMLET_BENCH_QUICK=1` drops the emission to bench
 //! scale with fewer reps (the CI smoke mode); emission is skipped under
 //! `--test` (the shim runs bench bodies once, which would record
 //! nonsense timings).
@@ -17,20 +19,19 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use hamlet_bench::{walmart, BENCH_SEED};
+use hamlet_bench::{walmart, yelp, BENCH_SEED};
 use hamlet_core::planner::{plan, PlanKind};
 use hamlet_core::rules::TrRule;
-use hamlet_datagen::realistic::DatasetSpec;
+use hamlet_datagen::realistic::{DatasetSpec, GeneratedDataset};
 use hamlet_experiments::{prepare_plan, PreparedPlan};
 use hamlet_fs::{reference, Method, SelectionContext, SelectionResult, SweepEngine};
 use hamlet_ml::naive_bayes::NaiveBayes;
 use hamlet_obs::atomic_write;
 
-/// JoinAll on Walmart: the widest input (entity features + both FKs +
-/// both attribute tables), i.e. the shape where candidate sweeps are
-/// most expensive.
-fn prepared_join_all(scale: f64) -> PreparedPlan {
-    let g = DatasetSpec::walmart().generate(scale, BENCH_SEED);
+/// JoinAll: the widest input (entity features + every FK + every
+/// attribute table), i.e. the shape where candidate sweeps are most
+/// expensive.
+fn prepared_join_all(g: &GeneratedDataset) -> PreparedPlan {
     let n_train = g.star.n_s() / 2;
     let p = plan(&g.star, PlanKind::JoinAll, &TrRule::default(), n_train);
     prepare_plan(&g.star, p, BENCH_SEED).expect("synthetic star materializes")
@@ -48,32 +49,31 @@ fn ctx_of<'a>(p: &'a PreparedPlan, nb: &'a NaiveBayes) -> SelectionContext<'a, N
 
 fn bench_selection_speedup(c: &mut Criterion) {
     let nb = NaiveBayes::default();
-    let g = walmart();
-    let n_train = g.star.n_s() / 2;
-    let p = plan(&g.star, PlanKind::JoinAll, &TrRule::default(), n_train);
-    let prepared = prepare_plan(&g.star, p, BENCH_SEED).expect("synthetic star materializes");
-    let candidates: Vec<usize> = (0..prepared.data.n_features()).collect();
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-
     let mut group = c.benchmark_group("selection_speedup");
     group.sample_size(10);
-    for method in [Method::Forward, Method::Backward] {
+    for (name, g) in [("walmart", walmart()), ("yelp", yelp())] {
+        let prepared = prepared_join_all(&g);
+        let candidates: Vec<usize> = (0..prepared.data.n_features()).collect();
         let ctx = ctx_of(&prepared, &nb);
-        group.bench_function(format!("{}_uncached_serial", method.name()), |b| {
-            b.iter(|| black_box(reference::run_method(method, &ctx, &candidates)))
-        });
-        group.bench_function(format!("{}_cached_serial", method.name()), |b| {
-            b.iter(|| {
-                let engine = SweepEngine::new(&ctx).with_threads(1);
-                black_box(method.run_with(&engine, &candidates))
-            })
-        });
-        group.bench_function(format!("{}_cached_parallel", method.name()), |b| {
-            b.iter(|| {
-                let engine = SweepEngine::new(&ctx).with_threads(threads);
-                black_box(method.run_with(&engine, &candidates))
-            })
-        });
+        for method in Method::ALL {
+            let id = format!("{name}_{}", method.name());
+            group.bench_function(format!("{id}_uncached_serial"), |b| {
+                b.iter(|| black_box(reference::run_method(method, &ctx, &candidates)))
+            });
+            group.bench_function(format!("{id}_cached_serial"), |b| {
+                b.iter(|| {
+                    let engine = SweepEngine::new(&ctx).with_threads(1);
+                    black_box(method.run_with(&engine, &candidates))
+                })
+            });
+            group.bench_function(format!("{id}_cached_parallel"), |b| {
+                b.iter(|| {
+                    let engine = SweepEngine::new(&ctx).with_threads(threads);
+                    black_box(method.run_with(&engine, &candidates))
+                })
+            });
+        }
     }
     group.finish();
 }
@@ -103,61 +103,66 @@ fn emit_summary() {
     // Fig-7 scale (HAMLET_SCALE default 0.1) for the committed numbers;
     // bench scale for the CI smoke run.
     let (scale, reps) = if quick { (0.01, 3) } else { (0.1, 3) };
-    let prepared = prepared_join_all(scale);
     let nb = NaiveBayes::default();
-    let ctx = ctx_of(&prepared, &nb);
-    let candidates: Vec<usize> = (0..prepared.data.n_features()).collect();
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let mut entries = Vec::new();
-    for method in [Method::Forward, Method::Backward] {
-        let (uncached_s, r_uncached) =
-            time_secs(|| reference::run_method(method, &ctx, &candidates), reps);
-        let (cached_serial_s, r_serial) = time_secs(
-            || {
-                let engine = SweepEngine::new(&ctx).with_threads(1);
-                method.run_with(&engine, &candidates)
-            },
-            reps,
-        );
-        let (cached_parallel_s, r_parallel) = time_secs(
-            || {
-                let engine = SweepEngine::new(&ctx).with_threads(threads);
-                method.run_with(&engine, &candidates)
-            },
-            reps,
-        );
-        assert_eq!(
-            r_uncached,
-            r_serial,
-            "{}: cached path diverged",
-            method.name()
-        );
-        assert_eq!(
-            r_uncached,
-            r_parallel,
-            "{}: parallel path diverged",
-            method.name()
-        );
-        entries.push(format!(
-            "  {{\"method\": \"{}\", \"candidates\": {}, \"model_fits\": {}, \
-             \"uncached_serial_s\": {:.4}, \"cached_serial_s\": {:.4}, \
-             \"cached_parallel_s\": {:.4}, \"speedup_cached_parallel\": {:.2}}}",
-            method.name(),
-            candidates.len(),
-            r_uncached.model_fits,
-            uncached_s,
-            cached_serial_s,
-            cached_parallel_s,
-            uncached_s / cached_parallel_s,
-        ));
+    for spec in [DatasetSpec::walmart(), DatasetSpec::yelp()] {
+        let prepared = prepared_join_all(&spec.generate(scale, BENCH_SEED));
+        let ctx = ctx_of(&prepared, &nb);
+        let candidates: Vec<usize> = (0..prepared.data.n_features()).collect();
+        for method in Method::ALL {
+            let (uncached_s, r_uncached) =
+                time_secs(|| reference::run_method(method, &ctx, &candidates), reps);
+            let (cached_serial_s, r_serial) = time_secs(
+                || {
+                    let engine = SweepEngine::new(&ctx).with_threads(1);
+                    method.run_with(&engine, &candidates)
+                },
+                reps,
+            );
+            let (cached_parallel_s, r_parallel) = time_secs(
+                || {
+                    let engine = SweepEngine::new(&ctx).with_threads(threads);
+                    method.run_with(&engine, &candidates)
+                },
+                reps,
+            );
+            assert_eq!(
+                r_uncached,
+                r_serial,
+                "{} {}: cached path diverged",
+                spec.name,
+                method.name()
+            );
+            assert_eq!(
+                r_uncached,
+                r_parallel,
+                "{} {}: parallel path diverged",
+                spec.name,
+                method.name()
+            );
+            entries.push(format!(
+                "  {{\"dataset\": \"{} (scale {scale}, JoinAll)\", \"method\": \"{}\", \
+                 \"candidates\": {}, \"n_train\": {}, \"model_fits\": {}, \
+                 \"uncached_serial_s\": {:.4}, \"cached_serial_s\": {:.4}, \
+                 \"cached_parallel_s\": {:.4}, \"speedup_cached_parallel\": {:.2}}}",
+                spec.name,
+                method.name(),
+                candidates.len(),
+                prepared.split.train.len(),
+                r_uncached.model_fits,
+                uncached_s,
+                cached_serial_s,
+                cached_parallel_s,
+                uncached_s / cached_parallel_s,
+            ));
+        }
     }
     let doc = format!(
-        "{{\n\"bench\": \"selection\",\n\"dataset\": \"Walmart (scale {scale}, JoinAll)\",\n\
+        "{{\n\"bench\": \"selection\",\n\
          \"classifier\": \"NaiveBayes\",\n\"model_family\": \"naive_bayes\",\n\
-         \"n_train\": {},\n\"threads\": {threads},\n\
-         \"results\": [\n{}\n]\n}}\n",
-        prepared.split.train.len(),
+         \"threads\": {threads},\n\"results\": [\n{}\n]\n}}\n",
         entries.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_selection.json");

@@ -22,7 +22,7 @@ use hamlet_ml::classifier::{Classifier, ErrorMetric};
 use hamlet_ml::dataset::Dataset;
 use hamlet_ml::info::{information_gain_ratio, mutual_information};
 use hamlet_ml::logreg::LogisticRegression;
-use hamlet_ml::suffstats::{SuffStats, SweepFit};
+use hamlet_ml::suffstats::{SuffStats, Sweep, SweepFit};
 
 /// Everything a selection method needs to score candidate subsets.
 #[derive(Debug)]
@@ -175,21 +175,15 @@ where
             .eval_swept(model, self.ctx.data, self.ctx.validation, self.ctx.metric)
     }
 
-    /// Errors of one forward sweep, through the classifier's batched
-    /// path when it has one ([`SweepFit::forward_sweep`], a single pass
-    /// over the validation rows per worker), else one fit + eval per
-    /// candidate across the worker pool. Both routes produce the same
-    /// floats in candidate order.
-    fn forward_sweep_errs(
-        &self,
-        selected: &[usize],
-        remaining: &[usize],
-        parent: &C::Fitted,
-    ) -> Vec<f64> {
-        if let Some(errs) = self.ctx.classifier.forward_sweep(
+    /// Errors of every trial of one sweep, in trial order: through the
+    /// classifier's batched path when it has one ([`SweepFit::sweep`],
+    /// one pass over the validation rows), else one fit + eval per
+    /// trial across the worker pool, warm-started from `warm`. Both
+    /// routes produce the same floats.
+    fn sweep_errs(&self, sweep: Sweep<'_>, warm: Option<&C::Fitted>) -> Vec<f64> {
+        if let Some(errs) = self.ctx.classifier.sweep(
             &self.stats,
-            selected,
-            remaining,
+            sweep,
             self.ctx.validation,
             self.ctx.metric,
             self.threads,
@@ -197,31 +191,8 @@ where
             hamlet_obs::counter_add!("hamlet_fs_evaluations_total", errs.len() as u64);
             return errs;
         }
-        hamlet_obs::parallel::run_indexed(remaining.len(), self.threads, &|i| {
-            let mut trial = selected.to_vec();
-            trial.push(remaining[i]);
-            trial.sort_unstable();
-            self.evaluate(&trial, Some(parent))
-        })
-    }
-
-    /// Errors of one backward sweep (drop each position of the sorted
-    /// current subset); batched when available, per-candidate otherwise.
-    fn backward_sweep_errs(&self, selected: &[usize], parent: &C::Fitted) -> Vec<f64> {
-        if let Some(errs) = self.ctx.classifier.backward_sweep(
-            &self.stats,
-            selected,
-            self.ctx.validation,
-            self.ctx.metric,
-            self.threads,
-        ) {
-            hamlet_obs::counter_add!("hamlet_fs_evaluations_total", errs.len() as u64);
-            return errs;
-        }
-        hamlet_obs::parallel::run_indexed(selected.len(), self.threads, &|i| {
-            let mut trial = selected.to_vec();
-            trial.remove(i);
-            self.evaluate(&trial, Some(parent))
+        hamlet_obs::parallel::run_indexed(sweep.len(), self.threads, &|t| {
+            self.evaluate(&sweep.trial(t), warm)
         })
     }
 
@@ -236,7 +207,11 @@ where
         let mut best_err = self.eval_model(&parent); // majority-class baseline
 
         loop {
-            let errs = self.forward_sweep_errs(&selected, &remaining, &parent);
+            let sweep = Sweep::Add {
+                parent: &selected,
+                candidates: &remaining,
+            };
+            let errs = self.sweep_errs(sweep, Some(&parent));
             fits += errs.len();
             // Reduce in candidate index order: identical winner to the
             // serial scan regardless of which worker finished first.
@@ -284,7 +259,7 @@ where
         let mut best_err = self.eval_model(&parent);
 
         while selected.len() > 1 {
-            let errs = self.backward_sweep_errs(&selected, &parent);
+            let errs = self.sweep_errs(Sweep::Drop { parent: &selected }, Some(&parent));
             fits += errs.len();
             let mut best_step: Option<(usize, f64)> = None;
             for (i, &err) in errs.iter().enumerate() {
@@ -314,8 +289,8 @@ where
         }
     }
 
-    /// Filter selection: ranks by cached scores, evaluates every top-`k`
-    /// prefix in parallel; see [`filter_selection`].
+    /// Filter selection: ranks by cached scores, then scores every
+    /// top-`k` prefix in one sweep; see [`filter_selection`].
     pub fn filter(&self, candidates: &[usize], score: FilterScore) -> SelectionResult {
         let mut ranked: Vec<(usize, f64)> = candidates
             .iter()
@@ -324,11 +299,8 @@ where
         // Descending by score; ties broken by feature position for determinism.
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
 
-        let errs = hamlet_obs::parallel::run_indexed(ranked.len(), self.threads, &|i| {
-            let mut prefix: Vec<usize> = ranked[..=i].iter().map(|&(f, _)| f).collect();
-            prefix.sort_unstable();
-            self.evaluate(&prefix, None)
-        });
+        let order: Vec<usize> = ranked.iter().map(|&(f, _)| f).collect();
+        let errs = self.sweep_errs(Sweep::Prefixes { ranked: &order }, None);
         let fits = errs.len();
         let mut best: Option<(usize, f64)> = None; // (k, err)
         for (i, &err) in errs.iter().enumerate() {
@@ -338,7 +310,7 @@ where
         }
 
         let (k, err) = best.unwrap_or((0, f64::INFINITY));
-        let mut features: Vec<usize> = ranked[..k].iter().map(|&(f, _)| f).collect();
+        let mut features = order[..k].to_vec();
         features.sort_unstable();
         SelectionResult {
             features,

@@ -54,6 +54,6 @@ pub use naive_bayes::{NaiveBayes, NaiveBayesModel};
 pub use redundancy::{is_markov_blanket, is_redundant_given_fk, is_weakly_relevant};
 pub use source::{CodeSource, KeyedCodes};
 pub use split::{disjoint_train_sets, HoldoutSplit};
-pub use suffstats::{SuffStats, SweepFit};
+pub use suffstats::{SuffStats, Sweep, SweepFit};
 pub use tan::{Tan, TanModel};
 pub use tree::{DecisionTree, DecisionTreeModel};

@@ -22,6 +22,7 @@
 //! subset's weights, and anything else falls back to its ordinary
 //! [`Classifier::fit`].
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -55,6 +56,12 @@ pub struct SuffStats<'a> {
     /// Per feature, the flattened `n_classes × domain_size` count table
     /// `counts[y * d + v]`, built on first use.
     tables: Vec<OnceLock<Box<[u64]>>>,
+    /// This cache's [`table`](Self::table) reads that were served from
+    /// a built table, and those that built one (the process-wide
+    /// `hamlet_suffstats_{hits,misses}_total` counters sum these over
+    /// every cache).
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl<'a> SuffStats<'a> {
@@ -73,6 +80,8 @@ impl<'a> SuffStats<'a> {
             class_counts,
             train_range: crate::kernels::contiguous_range(train),
             tables: (0..data.n_features()).map(|_| OnceLock::new()).collect(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -133,8 +142,10 @@ impl<'a> SuffStats<'a> {
             counts.into_boxed_slice()
         });
         if missed {
+            self.misses.fetch_add(1, Ordering::Relaxed);
             hamlet_obs::counter_add!("hamlet_suffstats_misses_total", 1);
         } else {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             hamlet_obs::counter_add!("hamlet_suffstats_hits_total", 1);
         }
         table
@@ -145,12 +156,21 @@ impl<'a> SuffStats<'a> {
     /// parallel-region flag and scans sequentially). Later
     /// [`table`](Self::table) calls are all cache hits, so a selection
     /// run's statistics phase is one parallel pass instead of k lazy
-    /// scans. Building a table twice is impossible — `OnceLock` keeps
-    /// the first result — so warming is always safe.
+    /// scans. Tables already built are skipped, and building a table
+    /// twice is impossible — `OnceLock` keeps the first result — so
+    /// warming is always safe and, once warm, free.
     pub fn warm(&self, feats: &[usize], threads: usize) {
-        let _span = hamlet_obs::span!("ml.suffstats_warm", feats = feats.len());
-        hamlet_obs::parallel::run_indexed(feats.len(), threads, &|i| {
-            let _ = self.table(feats[i]);
+        let cold: Vec<usize> = feats
+            .iter()
+            .copied()
+            .filter(|&f| self.tables[f].get().is_none())
+            .collect();
+        if cold.is_empty() {
+            return;
+        }
+        let _span = hamlet_obs::span!("ml.suffstats_warm", feats = cold.len());
+        hamlet_obs::parallel::run_indexed(cold.len(), threads, &|i| {
+            let _ = self.table(cold[i]);
         });
     }
 
@@ -217,257 +237,89 @@ impl<'a> SuffStats<'a> {
         t
     }
 
-    /// Validation errors of every forward trial `sort(selected ∪ {f})`
-    /// for `f` in `candidates`, in candidate order — **bitwise
-    /// identical** to assembling each trial's model and scoring it with
-    /// [`NaiveBayesModel::batch_error`], but in one pass over `rows`
-    /// per worker instead of one pass per candidate.
+    /// Validation errors of every trial of one batched Naive Bayes
+    /// sweep, in trial order — **bitwise identical** to assembling each
+    /// trial's model with [`nb_model`](Self::nb_model) and scoring it
+    /// with [`NaiveBayesModel::batch_error`], in one pass over `rows`
+    /// instead of one pass per trial.
     ///
-    /// Per row, the class scores of the shared parent prefix are
-    /// accumulated once (`prefix[j]` = prior + the first `j` selected
-    /// features' addends, in ascending feature order); each trial then
-    /// resumes from the candidate's sorted insertion point, adds the
-    /// candidate's addend, and replays the tail — the exact addition
-    /// sequence of the trial's own model, so every float matches. Error
-    /// accumulation over rows stays in row order per trial.
+    /// Per row, each trial's class scores come from a cheap approximate
+    /// sum of its addends: the parent's prefix sums plus suffix sums for
+    /// [`Sweep::Add`] and [`Sweep::Drop`], one running sum in rank order
+    /// for [`Sweep::Prefixes`] — O(k·c) per row for all k trials
+    /// together, where replaying each trial's tail in its model's order
+    /// is O(k²·c). The approximate argmax is then *certified*: every
+    /// addend is a smoothed log-probability, so ≤ 0, and any two
+    /// summation orders of the same `m` addends lie within a relative
+    /// `2γ_m` of each other (see `certify_tol`). When the approximate
+    /// top-1 beats the runner-up by more than that, the model's own
+    /// addition order picks the same class; otherwise the trial is
+    /// replayed exactly for that row, in ascending feature order. Trials
+    /// whose approximate sum already *is* the model's order (a tail of
+    /// at most one block, or a rank prefix that is still ascending) skip
+    /// the check.
     ///
-    /// Trials are chunked across up to `threads` scoped workers; each
-    /// chunk owns disjoint accumulators, so the result is independent
-    /// of the worker count.
-    pub fn nb_forward_sweep_errors(
+    /// Rows are scored in blocks of `BLOCK_ROWS` (512) across up to
+    /// `threads` workers, each gathering its block's codes and counting
+    /// integer losses (wrong predictions, or squared class-index
+    /// differences) per trial. Integer sums do not depend on the order
+    /// they are added in, so the result is the same at any worker count.
+    pub fn nb_sweep_errors(
         &self,
         smoothing: f64,
-        selected: &[usize],
-        candidates: &[usize],
+        sweep: Sweep<'_>,
         rows: &[usize],
         metric: ErrorMetric,
         threads: usize,
     ) -> Vec<f64> {
-        let mut sorted_sel: Vec<usize> = selected.to_vec();
-        sorted_sel.sort_unstable();
-        self.nb_sweep_errors(
-            smoothing,
-            &sorted_sel,
-            &candidates
-                .iter()
-                .map(|&f| SweepTrial {
-                    insert: Some(f),
-                    skip: None,
-                })
-                .collect::<Vec<_>>(),
-            rows,
-            metric,
-            threads,
-        )
-    }
-
-    /// Validation errors of every backward trial `selected \ {selected[i]}`
-    /// for each position `i`, in position order — bitwise identical to
-    /// per-trial assembly + [`NaiveBayesModel::batch_error`], computed
-    /// in one pass over `rows` per worker. `selected` must be sorted
-    /// ascending (backward search keeps it that way).
-    pub fn nb_backward_sweep_errors(
-        &self,
-        smoothing: f64,
-        selected: &[usize],
-        rows: &[usize],
-        metric: ErrorMetric,
-        threads: usize,
-    ) -> Vec<f64> {
-        debug_assert!(selected.windows(2).all(|w| w[0] < w[1]));
-        self.nb_sweep_errors(
-            smoothing,
-            selected,
-            &(0..selected.len())
-                .map(|i| SweepTrial {
-                    insert: None,
-                    skip: Some(i),
-                })
-                .collect::<Vec<_>>(),
-            rows,
-            metric,
-            threads,
-        )
-    }
-
-    /// Shared sweep core: each trial is `sorted_sel` with either one
-    /// feature inserted at its sorted position or one position skipped.
-    fn nb_sweep_errors(
-        &self,
-        smoothing: f64,
-        sorted_sel: &[usize],
-        trials: &[SweepTrial],
-        rows: &[usize],
-        metric: ErrorMetric,
-        threads: usize,
-    ) -> Vec<f64> {
-        if trials.is_empty() {
-            return Vec::new();
-        }
-        if rows.is_empty() {
-            // metric.eval on no rows is 0.0 for both metrics.
-            return vec![0.0; trials.len()];
-        }
+        let n_trials = sweep.len();
+        let mut span = hamlet_obs::span!(
+            "ml.nb_sweep",
+            shape = sweep.name(),
+            trials = n_trials,
+            rows = rows.len()
+        );
         let c = self.data.n_classes();
-        let k = sorted_sel.len();
-        let n = rows.len();
-        let prior = self.log_prior_vec(smoothing);
-        let sel_tables: Vec<Vec<f64>> = sorted_sel
-            .iter()
-            .map(|&f| self.log_table_t(smoothing, f))
-            .collect();
-        // The evaluation rows are typically a shuffled permutation, so
-        // `codes[r]` in the scoring loop would be a random gather per
-        // (row, trial). Gather each involved column once, up front, into
-        // dense arrays aligned with the row iteration order — pure data
-        // movement, so every float the scoring loop produces is
-        // untouched. Offsets are pre-scaled by `c` to index the
-        // transposed tables directly.
-        let gather = |f: usize| -> Vec<u32> {
-            let codes = &self.data.feature(f).codes;
-            rows.iter().map(|&r| codes[r] * c as u32).collect()
-        };
-        let sel_offs: Vec<Vec<u32>> = sorted_sel.iter().map(|&f| gather(f)).collect();
-        let labels = self.data.labels();
-        let truths: Vec<u32> = rows.iter().map(|&r| labels[r]).collect();
-
-        // Chunk trials across workers; every chunk scans the rows once
-        // with its own accumulators, so results do not depend on the
-        // worker count.
-        let chunk = trials.len().div_ceil(threads.max(1));
-        let n_chunks = trials.len().div_ceil(chunk);
-        let errors = |wrong: &[u64], sq: &[f64]| -> Vec<f64> {
-            match metric {
-                ErrorMetric::ZeroOne => wrong.iter().map(|&w| w as f64 / n as f64).collect(),
-                ErrorMetric::Rmse => sq.iter().map(|&s| (s / n as f64).sqrt()).collect(),
-            }
-        };
-
-        if k == 0 {
-            // Empty parent ⇒ every trial inserts one feature, and its
-            // score is `prior[y] + table[v*c+y]` exactly. Fusing the
-            // prior into each candidate's table once turns scoring into
-            // a block lookup + argmax per (row, trial) — the same
-            // single addition per class, performed ahead of the scan.
-            let per_chunk = hamlet_obs::parallel::run_indexed(n_chunks, threads, &|ci| {
-                let lo = ci * chunk;
-                let hi = (lo + chunk).min(trials.len());
-                let infos: Vec<(Vec<u32>, Vec<f64>)> = trials[lo..hi]
-                    .iter()
-                    .map(|t| {
-                        let f = t.insert.expect("empty parent has insert trials only");
-                        let mut pt = self.log_table_t(smoothing, f);
-                        for block in pt.chunks_exact_mut(c) {
-                            for (s, &p) in block.iter_mut().zip(&prior) {
-                                // IEEE addition commutes bitwise, so
-                                // `l + p` equals the recipe's `p + l`.
-                                *s += p;
-                            }
-                        }
-                        (gather(f), pt)
-                    })
-                    .collect();
-                let mut wrong = vec![0u64; infos.len()];
-                let mut sq = vec![0f64; infos.len()];
-                for i in 0..n {
-                    let truth = truths[i];
-                    for (t, (offs, pt)) in infos.iter().enumerate() {
-                        let off = offs[i] as usize;
-                        let best = argmax(&pt[off..off + c]);
-                        match metric {
-                            ErrorMetric::ZeroOne => wrong[t] += u64::from(best as u32 != truth),
-                            ErrorMetric::Rmse => {
-                                let diff = best as f64 - truth as f64;
-                                sq[t] += diff * diff;
-                            }
-                        }
-                    }
-                }
-                errors(&wrong, &sq)
-            });
-            return per_chunk.into_iter().flatten().collect();
+        if n_trials == 0 || rows.is_empty() || c == 1 {
+            // No rows: both metrics are 0.0. One class: every
+            // prediction is class 0, the only label.
+            return vec![0.0; n_trials];
         }
-
-        let per_chunk = hamlet_obs::parallel::run_indexed(n_chunks, threads, &|ci| {
-            let lo = ci * chunk;
-            let hi = (lo + chunk).min(trials.len());
-            let infos: Vec<TrialInfo> = trials[lo..hi]
-                .iter()
-                .map(|t| match (t.insert, t.skip) {
-                    (Some(f), None) => (
-                        sorted_sel.partition_point(|&s| s < f),
-                        Some((gather(f), self.log_table_t(smoothing, f))),
-                    ),
-                    (None, Some(i)) => (i, None),
-                    _ => unreachable!("a trial inserts xor skips"),
-                })
-                .collect();
-            let mut prefix = vec![0f64; (k + 1) * c];
-            let mut score = vec![0f64; c];
-            let mut wrong = vec![0u64; infos.len()];
-            let mut sq = vec![0f64; infos.len()];
-            for i in 0..n {
-                prefix[..c].copy_from_slice(&prior);
-                for j in 0..k {
-                    let off = sel_offs[j][i] as usize;
-                    let (done, rest) = prefix.split_at_mut((j + 1) * c);
-                    let prev = &done[j * c..];
-                    let block = &sel_tables[j][off..off + c];
-                    for y in 0..c {
-                        rest[y] = prev[y] + block[y];
-                    }
+        let kernel = SweepKernel::new(self, smoothing, sweep, threads);
+        let loss: Vec<u64> = (0..c * c)
+            .map(|i| {
+                let (truth, class) = ((i / c) as i64, (i % c) as i64);
+                match metric {
+                    ErrorMetric::ZeroOne => u64::from(truth != class),
+                    ErrorMetric::Rmse => ((class - truth) * (class - truth)) as u64,
                 }
-                let truth = truths[i];
-                for (t, (pos, cand)) in infos.iter().enumerate() {
-                    let p_block = &prefix[pos * c..pos * c + c];
-                    // Resume from the parent prefix, fold in the
-                    // trial's remaining addends in sorted order (the
-                    // first one fused with the resume copy), and argmax.
-                    let best = match cand {
-                        Some((offs, table)) => {
-                            let off = offs[i] as usize;
-                            let block = &table[off..off + c];
-                            for ((s, &p), &l) in score.iter_mut().zip(p_block).zip(block) {
-                                *s = p + l;
-                            }
-                            for j in *pos..k {
-                                let off = sel_offs[j][i] as usize;
-                                let block = &sel_tables[j][off..off + c];
-                                for (s, &l) in score.iter_mut().zip(block) {
-                                    *s += l;
-                                }
-                            }
-                            argmax(&score)
-                        }
-                        None if *pos + 1 == k => argmax(p_block),
-                        None => {
-                            let off = sel_offs[*pos + 1][i] as usize;
-                            let block = &sel_tables[*pos + 1][off..off + c];
-                            for ((s, &p), &l) in score.iter_mut().zip(p_block).zip(block) {
-                                *s = p + l;
-                            }
-                            for j in *pos + 2..k {
-                                let off = sel_offs[j][i] as usize;
-                                let block = &sel_tables[j][off..off + c];
-                                for (s, &l) in score.iter_mut().zip(block) {
-                                    *s += l;
-                                }
-                            }
-                            argmax(&score)
-                        }
-                    };
-                    match metric {
-                        ErrorMetric::ZeroOne => wrong[t] += u64::from(best as u32 != truth),
-                        ErrorMetric::Rmse => {
-                            let diff = best as f64 - truth as f64;
-                            sq[t] += diff * diff;
-                        }
-                    }
-                }
-            }
-            errors(&wrong, &sq)
+            })
+            .collect();
+        let blocks = rows.len().div_ceil(BLOCK_ROWS);
+        let parts = hamlet_obs::parallel::run_indexed(blocks, threads, &|b| {
+            let block = &rows[b * BLOCK_ROWS..((b + 1) * BLOCK_ROWS).min(rows.len())];
+            kernel.score_block(self.data, block, &loss)
         });
-        per_chunk.into_iter().flatten().collect()
+        let mut losses = vec![0u64; n_trials];
+        let mut replays = 0u64;
+        for (part, replayed) in parts {
+            for (sum, l) in losses.iter_mut().zip(part) {
+                *sum += l;
+            }
+            replays += replayed;
+        }
+        hamlet_obs::counter_add!("hamlet_nb_sweep_replays_total", replays);
+        span.record("replays", replays);
+        // Loss sums are exact integers in f64, so these are the floats
+        // `batch_error` produces by adding the same losses row by row.
+        let n = rows.len() as f64;
+        losses
+            .into_iter()
+            .map(|l| match metric {
+                ErrorMetric::ZeroOne => l as f64 / n,
+                ErrorMetric::Rmse => (l as f64 / n).sqrt(),
+            })
+            .collect()
     }
 
     /// Marginal feature-value histogram of feature `f` (column sums of
@@ -534,9 +386,17 @@ impl<'a> SuffStats<'a> {
 /// otherwise).
 #[inline]
 fn argmax(block: &[f64]) -> usize {
+    argmax_by(block.len(), |y| block[y])
+}
+
+/// [`argmax`] of `score(y)` over `y < c`, for scores computed on the
+/// fly rather than stored.
+#[inline]
+fn argmax_by(c: usize, score: impl Fn(usize) -> f64) -> usize {
     let mut best = 0usize;
-    let mut best_val = block[0];
-    for (y, &s) in block.iter().enumerate().skip(1) {
+    let mut best_val = score(0);
+    for y in 1..c {
+        let s = score(y);
         let better = s > best_val;
         best = if better { y } else { best };
         best_val = if better { s } else { best_val };
@@ -544,18 +404,466 @@ fn argmax(block: &[f64]) -> usize {
     best
 }
 
-/// One trial of a greedy sweep: the sorted parent subset with either
-/// one feature inserted at its sorted position (`insert`) or one
-/// position dropped (`skip`). Exactly one of the two is set.
-struct SweepTrial {
-    insert: Option<usize>,
-    skip: Option<usize>,
+/// The shape of one batched sweep: which feature subsets its trials
+/// score. Each trial's model sums its features' addends in ascending
+/// feature order, whatever order the shape lists them in.
+#[derive(Debug, Clone, Copy)]
+pub enum Sweep<'s> {
+    /// A forward step: trial `t` is `sort(parent ∪ {candidates[t]})`.
+    /// `parent` may be in any order; no candidate may be in it.
+    Add {
+        /// The current subset.
+        parent: &'s [usize],
+        /// The features to try adding, one trial each.
+        candidates: &'s [usize],
+    },
+    /// A backward step: trial `t` is `parent` without `parent[t]`.
+    Drop {
+        /// The current subset, sorted ascending.
+        parent: &'s [usize],
+    },
+    /// A filter's cutoff tuning: trial `t` is `sort(ranked[..=t])`.
+    Prefixes {
+        /// Distinct features, best-ranked first.
+        ranked: &'s [usize],
+    },
 }
 
-/// Per-trial scoring state: the resume position in the parent prefix,
-/// plus (for insertions) the candidate's gathered code offsets and
-/// transposed log table.
-type TrialInfo = (usize, Option<(Vec<u32>, Vec<f64>)>);
+impl Sweep<'_> {
+    /// Number of trials.
+    pub fn len(&self) -> usize {
+        match self {
+            Sweep::Add { candidates, .. } => candidates.len(),
+            Sweep::Drop { parent } => parent.len(),
+            Sweep::Prefixes { ranked } => ranked.len(),
+        }
+    }
+
+    /// Whether the sweep has no trials.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The feature subset trial `t` scores, ascending.
+    pub fn trial(&self, t: usize) -> Vec<usize> {
+        let mut feats = match self {
+            Sweep::Add { parent, candidates } => {
+                let mut feats = parent.to_vec();
+                feats.push(candidates[t]);
+                feats
+            }
+            Sweep::Drop { parent } => {
+                let mut feats = parent.to_vec();
+                feats.remove(t);
+                feats
+            }
+            Sweep::Prefixes { ranked } => ranked[..=t].to_vec(),
+        };
+        feats.sort_unstable();
+        feats
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Sweep::Add { .. } => "add",
+            Sweep::Drop { .. } => "drop",
+            Sweep::Prefixes { .. } => "prefixes",
+        }
+    }
+}
+
+/// Validation rows per scoring block: a block's gathered codes
+/// (`BLOCK_ROWS` × the sweep's columns, as `u32`) are the sweep's only
+/// per-row scratch.
+const BLOCK_ROWS: usize = 512;
+
+/// Relative margin that certifies an approximate argmax over `m`
+/// addends, all ≤ 0.
+///
+/// With all addends ≤ 0, `Σ|t| = |Σt|`, so every summation order lands
+/// within `γ_m·|T|` of the real sum `T` (`γ_m = m·u/(1 − m·u)`, `u =
+/// 2⁻⁵³`), and two orders within `2γ_m·|T| ≤ 2γ_m/(1 − γ_m)·|A|` of each
+/// other, where `A` is the computed approximate sum. If the approximate
+/// top-1 `a1` and runner-up `a2` satisfy `a1 − a2 > tol·(|a1| + |a2|)`,
+/// the exact sums keep the top-1 strictly ahead of every other class,
+/// so the exact argmax — lowest index on ties included — is the same
+/// class. `2γ_m/(1 − γ_m) ≈ m·ε` (ε = 2u); `2(m + 2)·ε` covers it with
+/// more than a factor of two to spare, including the rounding of the
+/// check itself.
+fn certify_tol(m: usize) -> f64 {
+    2.0 * (m as f64 + 2.0) * f64::EPSILON
+}
+
+/// One sweep's scoring inputs: the columns it reads and how its trials
+/// combine them.
+struct SweepKernel {
+    c: usize,
+    prior: Vec<f64>,
+    /// The feature behind each column.
+    feats: Vec<usize>,
+    /// Each column's transposed log table, `[v * c + y]`.
+    tables: Vec<Vec<f64>>,
+    plan: Plan,
+}
+
+impl SweepKernel {
+    /// A first sweep over fresh statistics builds the columns' count
+    /// tables across up to `threads` workers ([`SuffStats::warm`]).
+    fn new(stats: &SuffStats<'_>, smoothing: f64, sweep: Sweep<'_>, threads: usize) -> Self {
+        let (feats, plan) = match sweep {
+            Sweep::Add { parent, candidates } => {
+                let mut feats = parent.to_vec();
+                feats.sort_unstable();
+                let pos = candidates
+                    .iter()
+                    .map(|&f| feats.partition_point(|&s| s < f))
+                    .collect();
+                let k = feats.len();
+                feats.extend_from_slice(candidates);
+                (feats, Plan::Add { k, pos })
+            }
+            Sweep::Drop { parent } => {
+                debug_assert!(parent.windows(2).all(|w| w[0] < w[1]));
+                (parent.to_vec(), Plan::Drop { k: parent.len() })
+            }
+            Sweep::Prefixes { ranked } => {
+                let mut by_feature: Vec<usize> = (0..ranked.len()).collect();
+                by_feature.sort_unstable_by_key(|&j| ranked[j]);
+                let ascending = 1 + ranked.windows(2).take_while(|w| w[0] < w[1]).count();
+                (
+                    ranked.to_vec(),
+                    Plan::Prefixes {
+                        by_feature,
+                        ascending,
+                    },
+                )
+            }
+        };
+        let prior = stats.log_prior_vec(smoothing);
+        stats.warm(&feats, threads);
+        let mut tables: Vec<Vec<f64>> = feats
+            .iter()
+            .map(|&f| stats.log_table_t(smoothing, f))
+            .collect();
+        if let Plan::Add { k: 0, .. } = plan {
+            // An empty parent: every trial's score is `prior + table`,
+            // one addition per class, done here once per table entry
+            // instead of once per row (IEEE addition commutes bitwise).
+            for table in &mut tables {
+                for block in table.chunks_exact_mut(prior.len()) {
+                    add_assign(block, &prior);
+                }
+            }
+        }
+        Self {
+            c: stats.data.n_classes(),
+            prior,
+            tables,
+            feats,
+            plan,
+        }
+    }
+
+    /// Per-trial loss sums over one block of rows, and the number of
+    /// exact replays.
+    fn score_block(&self, data: &Dataset, rows: &[usize], loss: &[u64]) -> (Vec<u64>, u64) {
+        let c = self.c;
+        let b = rows.len();
+        // The rows are typically a shuffled permutation: gather each
+        // column's codes for the block once (pre-scaled by `c` to index
+        // the transposed tables), so scoring reads contiguous memory.
+        let mut offs = vec![0u32; self.feats.len() * b];
+        for (col, &f) in offs.chunks_exact_mut(b).zip(&self.feats) {
+            let codes = &data.feature(f).codes;
+            for (o, &r) in col.iter_mut().zip(rows) {
+                *o = codes[r] * c as u32;
+            }
+        }
+        let cols: Vec<(&[u32], &[f64])> = offs
+            .chunks_exact(b)
+            .zip(&self.tables)
+            .map(|(o, table)| (o, table.as_slice()))
+            .collect();
+        let labels = data.labels();
+        let mut sums = vec![0u64; self.plan.n_trials()];
+        let mut scratch = RowScratch::new(&self.plan, c);
+        let mut replays = 0u64;
+        for (i, &r) in rows.iter().enumerate() {
+            let truth = labels[r] as usize * c;
+            let block = |j: usize| {
+                let (offs, table) = cols[j];
+                let o = offs[i] as usize;
+                &table[o..][..c]
+            };
+            replays += self
+                .plan
+                .score_row(&self.prior, block, &mut scratch, |t, class| {
+                    sums[t] += loss[truth + class];
+                });
+        }
+        (sums, replays)
+    }
+}
+
+/// How a sweep's trials combine one row's column blocks.
+#[derive(Debug)]
+enum Plan {
+    /// Columns `0..k` are the sorted parent; column `k + t` is trial
+    /// `t`'s candidate, which sorts in before parent column `pos[t]`.
+    /// With no parent (`k == 0`), the candidate columns have the prior
+    /// folded in.
+    Add { k: usize, pos: Vec<usize> },
+    /// Columns `0..k` are the sorted parent; trial `t` drops column `t`.
+    Drop { k: usize },
+    /// Column `t` is rank `t`; trial `t` sums columns `0..=t`.
+    /// `by_feature` lists the columns in ascending feature order, and
+    /// ranks `0..ascending` already are in it.
+    Prefixes {
+        by_feature: Vec<usize>,
+        ascending: usize,
+    },
+}
+
+/// Per-row sums, reused across the rows of a block.
+struct RowScratch {
+    /// `prefix[j]`: prior + parent columns `0..j`, left to right
+    /// (for prefix sweeps, `prefix[0]` is the running sum).
+    prefix: Vec<f64>,
+    /// `suffix[j]`: parent columns `j..k`, right to left.
+    suffix: Vec<f64>,
+    /// One trial's class scores, when it is replayed.
+    score: Vec<f64>,
+}
+
+impl RowScratch {
+    fn new(plan: &Plan, c: usize) -> Self {
+        let k = match plan {
+            Plan::Add { k, .. } | Plan::Drop { k } => *k,
+            Plan::Prefixes { .. } => 0,
+        };
+        Self {
+            prefix: vec![0.0; (k + 1) * c],
+            suffix: vec![0.0; k * c],
+            score: vec![0.0; c],
+        }
+    }
+}
+
+impl Plan {
+    fn n_trials(&self) -> usize {
+        match self {
+            Plan::Add { pos, .. } => pos.len(),
+            Plan::Drop { k } => *k,
+            Plan::Prefixes { by_feature, .. } => by_feature.len(),
+        }
+    }
+
+    /// Scores one validation row for every trial: `block(j)` is column
+    /// `j`'s `c` addends for the row. Calls `emit(t, class)` with the
+    /// class trial `t`'s own model predicts, and returns how many trials
+    /// the certification sent to an exact replay.
+    fn score_row<'b>(
+        &self,
+        prior: &[f64],
+        block: impl Fn(usize) -> &'b [f64],
+        s: &mut RowScratch,
+        mut emit: impl FnMut(usize, usize),
+    ) -> u64 {
+        let c = prior.len();
+        let mut replays = 0u64;
+        match self {
+            Plan::Add { k, pos } => {
+                let k = *k;
+                if k == 0 {
+                    // Each candidate's table has the prior folded in
+                    // (`SweepKernel::new`): its block is the score.
+                    for t in 0..pos.len() {
+                        emit(t, argmax(block(t)));
+                    }
+                    return 0;
+                }
+                fill_prefix(&mut s.prefix, prior, &block, k);
+                let lo = pos.iter().copied().min().unwrap_or(k);
+                fill_suffix(&mut s.suffix, &block, lo, k, c);
+                let tol = certify_tol(k + 2);
+                for (t, &p) in pos.iter().enumerate() {
+                    let head = &s.prefix[p * c..][..c];
+                    let cand = block(k + t);
+                    let tail = (p < k).then(|| &s.suffix[p * c..][..c]);
+                    // A tail of at most one block: the model's own order.
+                    let class = pick_class(
+                        |y| {
+                            let sum = head[y] + cand[y];
+                            tail.map_or(sum, |tail| sum + tail[y])
+                        },
+                        p + 1 >= k,
+                        tol,
+                        &mut s.score[..c],
+                        &mut replays,
+                        |score| {
+                            add_into(score, head, cand);
+                            for j in p..k {
+                                add_assign(score, block(j));
+                            }
+                        },
+                    );
+                    emit(t, class);
+                }
+            }
+            Plan::Drop { k } => {
+                let k = *k;
+                fill_prefix(&mut s.prefix, prior, &block, k);
+                fill_suffix(&mut s.suffix, &block, 1, k, c);
+                let tol = certify_tol(k);
+                for t in 0..k {
+                    let head = &s.prefix[t * c..][..c];
+                    let tail = (t + 1 < k).then(|| &s.suffix[(t + 1) * c..][..c]);
+                    // A tail of at most one block: the model's own order.
+                    let class = pick_class(
+                        |y| tail.map_or(head[y], |tail| head[y] + tail[y]),
+                        t + 2 >= k,
+                        tol,
+                        &mut s.score[..c],
+                        &mut replays,
+                        |score| {
+                            add_into(score, head, block(t + 1));
+                            for j in t + 2..k {
+                                add_assign(score, block(j));
+                            }
+                        },
+                    );
+                    emit(t, class);
+                }
+            }
+            Plan::Prefixes {
+                by_feature,
+                ascending,
+            } => {
+                s.prefix[..c].copy_from_slice(prior);
+                for t in 0..by_feature.len() {
+                    add_assign(&mut s.prefix[..c], block(t));
+                    let run = &s.prefix[..c];
+                    // A still-ascending prefix: the model's own order.
+                    let class = pick_class(
+                        |y| run[y],
+                        t < *ascending,
+                        certify_tol(t + 2),
+                        &mut s.score[..c],
+                        &mut replays,
+                        |score| {
+                            score.copy_from_slice(prior);
+                            for &j in by_feature.iter().filter(|&&j| j <= t) {
+                                add_assign(score, block(j));
+                            }
+                        },
+                    );
+                    emit(t, class);
+                }
+            }
+        }
+        replays
+    }
+}
+
+/// `prefix[j]` = prior + columns `0..j`, in column order.
+#[inline]
+fn fill_prefix<'b>(
+    prefix: &mut [f64],
+    prior: &[f64],
+    block: &impl Fn(usize) -> &'b [f64],
+    k: usize,
+) {
+    let c = prior.len();
+    prefix[..c].copy_from_slice(prior);
+    for j in 0..k {
+        let (done, rest) = prefix.split_at_mut((j + 1) * c);
+        add_into(&mut rest[..c], &done[j * c..], block(j));
+    }
+}
+
+/// `suffix[j]` = columns `j..k`, summed right to left, for `j` in
+/// `lo..k`: every non-empty tail starts at `lo` or later.
+#[inline]
+fn fill_suffix<'b>(
+    suffix: &mut [f64],
+    block: &impl Fn(usize) -> &'b [f64],
+    lo: usize,
+    k: usize,
+    c: usize,
+) {
+    if lo >= k {
+        return;
+    }
+    suffix[(k - 1) * c..k * c].copy_from_slice(block(k - 1));
+    for j in (lo..k - 1).rev() {
+        let (this, next) = suffix.split_at_mut((j + 1) * c);
+        add_into(&mut this[j * c..], block(j), &next[..c]);
+    }
+}
+
+/// `out[y] = a[y] + b[y]`.
+#[inline]
+fn add_into(out: &mut [f64], a: &[f64], b: &[f64]) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = x + y;
+    }
+}
+
+/// `out[y] += a[y]`.
+#[inline]
+fn add_assign(out: &mut [f64], a: &[f64]) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o += x;
+    }
+}
+
+/// The class a trial's own model predicts, from its approximate class
+/// scores `approx(y)`, `y < score.len()`, computed on the fly. When
+/// `exact`, `approx` already sums in the model's order and its argmax is
+/// the answer. Otherwise that argmax is kept when its margin over the
+/// runner-up clears `tol` ([`certify_tol`]); if it does not, `replay`
+/// writes the model's own sums into `score`, `replays` is incremented,
+/// and their argmax is returned.
+#[inline]
+fn pick_class(
+    approx: impl Fn(usize) -> f64,
+    exact: bool,
+    tol: f64,
+    score: &mut [f64],
+    replays: &mut u64,
+    replay: impl FnOnce(&mut [f64]),
+) -> usize {
+    let c = score.len();
+    if exact {
+        return argmax_by(c, approx);
+    }
+    let (best, a1, a2) = top2(c, approx);
+    if a1 - a2 > tol * (a1.abs() + a2.abs()) {
+        return best;
+    }
+    replay(score);
+    *replays += 1;
+    argmax(score)
+}
+
+/// The argmax of `score(y)` over `y < c` (lowest index on ties), its
+/// score, and the greatest score among the other classes (equal to the
+/// top score on a tie, so a tie never certifies).
+#[inline]
+fn top2(c: usize, score: impl Fn(usize) -> f64) -> (usize, f64, f64) {
+    let mut best = 0usize;
+    let mut a1 = score(0);
+    let mut a2 = f64::NEG_INFINITY;
+    for y in 1..c {
+        let s = score(y);
+        let better = s > a1;
+        let demoted = if better { a1 } else { s };
+        a2 = if demoted > a2 { demoted } else { a2 };
+        best = if better { y } else { best };
+        a1 = if better { s } else { a1 };
+    }
+    (best, a1, a2)
+}
 
 impl std::fmt::Debug for SuffStats<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -610,38 +918,21 @@ pub trait SweepFit: Classifier {
         metric.eval(model, data, rows)
     }
 
-    /// Scores one entire forward sweep at once: the validation error of
-    /// `sort(selected ∪ {f})` for every `f` in `candidates`, in
-    /// candidate order. Returning `None` (the default) means "no
-    /// batched path" and the search falls back to one
-    /// `fit_swept` + `eval_swept` per candidate. An override must
-    /// return errors **bitwise identical** to that fallback.
-    fn forward_sweep(
+    /// Scores one entire sweep at once: the validation error of every
+    /// trial of `sweep` ([`Sweep::trial`]), in trial order. Returning
+    /// `None` (the default) means "no batched path" and the search
+    /// falls back to one `fit_swept` + `eval_swept` per trial. An
+    /// override must return errors **bitwise identical** to that
+    /// fallback.
+    fn sweep(
         &self,
         stats: &SuffStats<'_>,
-        selected: &[usize],
-        candidates: &[usize],
+        sweep: Sweep<'_>,
         rows: &[usize],
         metric: ErrorMetric,
         threads: usize,
     ) -> Option<Vec<f64>> {
-        let _ = (stats, selected, candidates, rows, metric, threads);
-        None
-    }
-
-    /// Scores one entire backward sweep at once: the validation error
-    /// of `selected \ {selected[i]}` for every position `i`, in
-    /// position order (`selected` is sorted ascending during backward
-    /// search). Same contract as [`SweepFit::forward_sweep`].
-    fn backward_sweep(
-        &self,
-        stats: &SuffStats<'_>,
-        selected: &[usize],
-        rows: &[usize],
-        metric: ErrorMetric,
-        threads: usize,
-    ) -> Option<Vec<f64>> {
-        let _ = (stats, selected, rows, metric, threads);
+        let _ = (stats, sweep, rows, metric, threads);
         None
     }
 }
@@ -666,34 +957,15 @@ impl SweepFit for NaiveBayes {
         model.batch_error(data, rows, metric)
     }
 
-    fn forward_sweep(
+    fn sweep(
         &self,
         stats: &SuffStats<'_>,
-        selected: &[usize],
-        candidates: &[usize],
+        sweep: Sweep<'_>,
         rows: &[usize],
         metric: ErrorMetric,
         threads: usize,
     ) -> Option<Vec<f64>> {
-        Some(stats.nb_forward_sweep_errors(
-            self.smoothing,
-            selected,
-            candidates,
-            rows,
-            metric,
-            threads,
-        ))
-    }
-
-    fn backward_sweep(
-        &self,
-        stats: &SuffStats<'_>,
-        selected: &[usize],
-        rows: &[usize],
-        metric: ErrorMetric,
-        threads: usize,
-    ) -> Option<Vec<f64>> {
-        Some(stats.nb_backward_sweep_errors(self.smoothing, selected, rows, metric, threads))
+        Some(stats.nb_sweep_errors(self.smoothing, sweep, rows, metric, threads))
     }
 }
 
@@ -800,19 +1072,34 @@ mod tests {
         let d = data();
         let train: Vec<usize> = (0..240).collect();
         let stats = SuffStats::new(&d, &train);
-        let before = hamlet_obs::metrics::counter("hamlet_suffstats_misses_total").get();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..8 {
-                        let _ = stats.table(1);
-                    }
-                });
-            }
+        let counter = |name| hamlet_obs::metrics::counter(name).get();
+        let (hits_before, misses_before) = (
+            counter("hamlet_suffstats_hits_total"),
+            counter("hamlet_suffstats_misses_total"),
+        );
+        let seen: Vec<&[u64]> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| (0..8).map(|_| stats.table(1)).collect::<Vec<_>>()))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("reader thread"))
+                .collect()
         });
-        let misses = hamlet_obs::metrics::counter("hamlet_suffstats_misses_total").get() - before;
-        assert_eq!(misses, 1, "the table must be built exactly once");
-        assert!(hamlet_obs::metrics::counter("hamlet_suffstats_hits_total").get() >= 31);
+        // This cache's own counts are exact whatever else runs: one
+        // build, and the other 31 reads served from it.
+        assert_eq!(stats.misses.load(Ordering::Relaxed), 1, "built once");
+        assert_eq!(stats.hits.load(Ordering::Relaxed), 31);
+        // The process-wide counters saw at least those (tests running
+        // in parallel may add more).
+        assert!(counter("hamlet_suffstats_misses_total") - misses_before >= 1);
+        assert!(counter("hamlet_suffstats_hits_total") - hits_before >= 31);
+        assert_eq!(seen.len(), 32);
+        assert!(
+            seen.iter().all(|&t| std::ptr::eq(t, stats.table(1))),
+            "every reader must get the one cached table"
+        );
+        assert_eq!(stats.table(1), SuffStats::new(&d, &train).table(1));
     }
 
     #[test]
@@ -835,43 +1122,147 @@ mod tests {
     fn sweep_errors_are_bitwise_equal_to_per_trial_scoring() {
         let d = data();
         let train: Vec<usize> = (0..160).collect();
-        let val: Vec<usize> = (160..240).collect();
+        // Shuffled, repeated rows spanning three scoring blocks.
+        let val: Vec<usize> = (0..1300).map(|i| (i * 7 + 160) % 240).collect();
         let stats = SuffStats::new(&d, &train);
+        let sweeps = [
+            Sweep::Add {
+                parent: &[],
+                candidates: &[0, 1, 2],
+            },
+            Sweep::Add {
+                parent: &[1],
+                candidates: &[0, 2],
+            },
+            Sweep::Add {
+                parent: &[2, 0],
+                candidates: &[1],
+            },
+            Sweep::Drop { parent: &[0, 1, 2] },
+            Sweep::Prefixes { ranked: &[2, 0, 1] },
+            Sweep::Prefixes { ranked: &[0, 2] },
+        ];
         for metric in [ErrorMetric::ZeroOne, ErrorMetric::Rmse] {
             for threads in [1, 3] {
-                // Empty parent: exercises the fused prior+table path.
-                let first =
-                    stats.nb_forward_sweep_errors(0.5, &[], &[0, 1, 2], &val, metric, threads);
-                for (i, &f) in [0usize, 1, 2].iter().enumerate() {
-                    let model = stats.nb_model(0.5, &[f]);
-                    let direct = metric.eval(&model, &d, &val);
-                    assert_eq!(
-                        direct.to_bits(),
-                        first[i].to_bits(),
-                        "{metric:?} single {f}"
-                    );
-                }
-                // Forward: parent {1}, candidates {0, 2} (unsorted parent
-                // order exercised via the engine path elsewhere).
-                let fwd = stats.nb_forward_sweep_errors(0.5, &[1], &[0, 2], &val, metric, threads);
-                for (i, &f) in [0usize, 2].iter().enumerate() {
-                    let mut trial = vec![1, f];
-                    trial.sort_unstable();
-                    let model = stats.nb_model(0.5, &trial);
-                    let direct = metric.eval(&model, &d, &val);
-                    assert_eq!(direct.to_bits(), fwd[i].to_bits(), "{metric:?} insert {f}");
-                }
-                // Backward: drop each position of the sorted full set.
-                let bwd = stats.nb_backward_sweep_errors(0.5, &[0, 1, 2], &val, metric, threads);
-                for (i, err) in bwd.iter().enumerate() {
-                    let mut trial = vec![0, 1, 2];
-                    trial.remove(i);
-                    let model = stats.nb_model(0.5, &trial);
-                    let direct = metric.eval(&model, &d, &val);
-                    assert_eq!(direct.to_bits(), err.to_bits(), "{metric:?} drop {i}");
+                for sweep in sweeps {
+                    let errs = stats.nb_sweep_errors(0.5, sweep, &val, metric, threads);
+                    assert_eq!(errs.len(), sweep.len());
+                    for (t, err) in errs.iter().enumerate() {
+                        let model = stats.nb_model(0.5, &sweep.trial(t));
+                        let direct = metric.eval(&model, &d, &val);
+                        assert_eq!(
+                            direct.to_bits(),
+                            err.to_bits(),
+                            "{metric:?} {sweep:?} trial {t}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// Scores one row of `plan` from hand-built addends and checks every
+    /// trial against the model's recipe: copy the prior, add the trial's
+    /// columns in `order(t)`, take the first strict maximum. Returns the
+    /// kernel's replay count.
+    fn check_row(
+        plan: &Plan,
+        prior: &[f64],
+        cols: &[&[f64]],
+        order: impl Fn(usize) -> Vec<usize>,
+    ) -> u64 {
+        let mut scratch = RowScratch::new(plan, prior.len());
+        let mut got = vec![usize::MAX; plan.n_trials()];
+        let replays = plan.score_row(
+            prior,
+            |j| cols[j],
+            &mut scratch,
+            |t, class| {
+                got[t] = class;
+            },
+        );
+        for (t, &class) in got.iter().enumerate() {
+            let mut scores = prior.to_vec();
+            for j in order(t) {
+                for (s, &l) in scores.iter_mut().zip(cols[j]) {
+                    *s += l;
+                }
+            }
+            let mut best = 0;
+            for y in 1..scores.len() {
+                if scores[y] > scores[best] {
+                    best = y;
+                }
+            }
+            assert_eq!(class, best, "{plan:?} trial {t}: scores {scores:?}");
+        }
+        replays
+    }
+
+    #[test]
+    fn certification_replays_when_rounding_could_flip_the_argmax() {
+        let h = f64::EPSILON / 2.0; // 2^-53, half an ulp of 1.0
+        let tiny: &[f64] = &[-h, 0.0];
+        // Class 0 starts at -1 and takes three -2^-53 addends. In the
+        // model's order each rounds away (ties to even), so its exact
+        // score stays -1. Summed first, as a suffix, they make -3·2^-53,
+        // and -1 - 3·2^-53 rounds to -1 - 2^-51. Class 1 scores -1 - 2^-52
+        // (strictly behind class 0) or -1 (tied; the lower index wins):
+        // either way the model picks class 0 while the approximate sums
+        // put class 1 ahead by 2^-52. With a zero bound the kernel would
+        // return class 1.
+        for class1 in [-1.0 - f64::EPSILON, -1.0] {
+            let prior = [-1.0, class1];
+            // Drop: columns [x, b, c, e]; dropping x leaves a three-block
+            // tail scored as prefix[0] + (b + (c + e)), dropping b a
+            // two-block tail. Both must replay; the rest are exact.
+            let cols = [&[0.0, 0.0], tiny, tiny, tiny];
+            let drop = Plan::Drop { k: 4 };
+            let replays = check_row(&drop, &prior, &cols, |t| {
+                (0..4).filter(|&j| j != t).collect()
+            });
+            assert_eq!(replays, 2, "drop, class 1 at {class1}");
+            // Add: parent [b, c, e], candidate x sorting in first:
+            // (prefix[0] + x) + (b + (c + e)).
+            let cols = [tiny, tiny, tiny, &[0.0, 0.0]];
+            let add = Plan::Add { k: 3, pos: vec![0] };
+            let replays = check_row(&add, &prior, &cols, |_| vec![3, 0, 1, 2]);
+            assert_eq!(replays, 1, "add, class 1 at {class1}");
+        }
+        // Prefixes ranked in descending feature order: the running sum
+        // adds -2^-52 first and then two -2^-53 (reaching -1 - 2^-51),
+        // the model the two -2^-53 first (staying at -1) and then -2^-52.
+        // Class 1 ties the exact -1 - 2^-52, so class 0 must win.
+        let prior = [-1.0, -1.0 - f64::EPSILON];
+        let cols = [&[-f64::EPSILON, 0.0], tiny, tiny];
+        let prefixes = Plan::Prefixes {
+            by_feature: vec![2, 1, 0],
+            ascending: 1,
+        };
+        let replays = check_row(&prefixes, &prior, &cols, |t| (0..=t).rev().collect());
+        assert_eq!(replays, 2, "both unsorted prefixes must replay");
+    }
+
+    #[test]
+    fn certified_margins_skip_the_replay() {
+        // Margins far above the bound: no trial replays, and the classes
+        // are still the model's.
+        let prior = [-0.7, -0.9, -2.0];
+        let cols: [&[f64]; 4] = [
+            &[-0.1, -1.5, -0.2],
+            &[-2.0, -0.3, -0.1],
+            &[-0.4, -0.4, -3.0],
+            &[-1.0, -0.2, -0.6],
+        ];
+        let drop = Plan::Drop { k: 4 };
+        assert_eq!(
+            check_row(&drop, &prior, &cols, |t| (0..4)
+                .filter(|&j| j != t)
+                .collect()),
+            0
+        );
+        let add = Plan::Add { k: 3, pos: vec![0] };
+        assert_eq!(check_row(&add, &prior, &cols, |_| vec![3, 0, 1, 2]), 0);
     }
 
     #[test]
@@ -881,15 +1272,24 @@ mod tests {
         let train: Vec<usize> = (0..240).filter(|r| r % 7 != 2).collect();
         let warmed = SuffStats::new(&d, &train);
         warmed.warm(&[0, 1, 2], 4);
+        // Warming built all three tables, one miss each.
+        assert_eq!(warmed.misses.load(Ordering::Relaxed), 3);
+        assert_eq!(warmed.hits.load(Ordering::Relaxed), 0);
         let lazy = SuffStats::new(&d, &train);
-        let before = hamlet_obs::metrics::counter("hamlet_suffstats_misses_total").get();
         for f in 0..3 {
             assert_eq!(warmed.table(f), lazy.table(f), "feature {f}");
         }
-        // The warmed cache served hits only: its three reads above added
-        // no misses (lazy added exactly three).
-        let misses = hamlet_obs::metrics::counter("hamlet_suffstats_misses_total").get() - before;
-        assert_eq!(misses, 3);
+        // The warmed cache served its three reads as hits; the lazy one
+        // built a table per read.
+        assert_eq!(warmed.misses.load(Ordering::Relaxed), 3);
+        assert_eq!(warmed.hits.load(Ordering::Relaxed), 3);
+        assert_eq!(lazy.misses.load(Ordering::Relaxed), 3);
+        // Warming again skips the built tables without reading them.
+        let first = warmed.table(0).as_ptr();
+        warmed.warm(&[0, 1, 2], 4);
+        assert_eq!(warmed.misses.load(Ordering::Relaxed), 3);
+        assert_eq!(warmed.hits.load(Ordering::Relaxed), 4);
+        assert!(std::ptr::eq(first, warmed.table(0).as_ptr()));
         // Contiguous train rows: the gather-free kernel path, same counts.
         let contiguous: Vec<usize> = (30..210).collect();
         let fast = SuffStats::new(&d, &contiguous);

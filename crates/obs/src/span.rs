@@ -155,6 +155,18 @@ impl SpanGuard {
     pub fn enter(name: &'static str) -> Self {
         Self::enter_with(name, String::new)
     }
+
+    /// Appends a `key=value` attribute known only once the span's work
+    /// is done (a no-op when tracing was disabled at creation).
+    pub fn record(&mut self, key: &str, value: impl std::fmt::Display) {
+        if let Some(live) = &mut self.live {
+            use std::fmt::Write as _;
+            if !live.detail.is_empty() {
+                live.detail.push(' ');
+            }
+            let _ = write!(live.detail, "{key}={value}");
+        }
+    }
 }
 
 impl Drop for SpanGuard {
@@ -315,13 +327,15 @@ mod tests {
         // Disabled: nothing recorded.
         set_tracing(false);
         {
-            let _g = crate::span!("off.noop", x = 1);
+            let mut g = crate::span!("off.noop", x = 1);
+            g.record("y", 2);
         }
         assert!(drain_spans().is_empty());
 
         set_tracing(true);
         {
-            let _outer = crate::span!("test.outer", table = "R");
+            let mut outer = crate::span!("test.outer", table = "R");
+            outer.record("rows", 5);
             {
                 let _inner = crate::span!("test.inner");
             }
@@ -339,7 +353,7 @@ mod tests {
         assert_eq!(records.len(), 4, "{records:?}");
         let outer = records.iter().find(|r| r.name == "test.outer").unwrap();
         assert_eq!(outer.depth, 0);
-        assert_eq!(outer.detail, "table=R");
+        assert_eq!(outer.detail, "table=R rows=5");
         let inners: Vec<_> = records.iter().filter(|r| r.name == "test.inner").collect();
         assert_eq!(inners.len(), 2);
         assert!(inners.iter().all(|r| r.depth == 1));
@@ -356,7 +370,7 @@ mod tests {
         assert!(inner_roll.max_ns <= inner_roll.total_ns);
 
         let tree = render_span_tree(&records);
-        assert!(tree.contains("test.outer table=R"), "{tree}");
+        assert!(tree.contains("test.outer table=R rows=5"), "{tree}");
         assert!(tree.contains("    ")); // nesting indent
         assert!(tree.contains("span rollup"));
 

@@ -12,42 +12,45 @@ use hamlet::ml::logreg::LogisticRegression;
 use hamlet::ml::naive_bayes::NaiveBayes;
 use hamlet::ml::suffstats::{SuffStats, SweepFit};
 
-/// Strategy: a random 3-feature nominal dataset with a train/validation
-/// split over its rows.
+/// Strategy: a nominal dataset of 6–24 features over 2–7 classes,
+/// with shuffled, disjoint, non-contiguous train and validation rows.
+/// Some features are constant and some copy the previous column, so
+/// trials tie exactly and class scores tie within a row.
 fn labeled_data() -> impl Strategy<Value = (Dataset, Vec<usize>, Vec<usize>)> {
-    (40usize..120).prop_flat_map(|n| {
+    (60usize..160, 6usize..=24, 2usize..=7).prop_flat_map(|(n, k, c)| {
         (
-            proptest::collection::vec(0..3u32, n),
-            proptest::collection::vec(0..4u32, n),
-            proptest::collection::vec(0..2u32, n),
-            proptest::collection::vec(0..2u32, n),
+            // Per feature: kind (0 constant, 1 copy of the previous
+            // column, otherwise random codes) and domain size.
+            proptest::collection::vec((0u8..5, 2u32..6), k),
+            proptest::collection::vec(0..u32::MAX, n * k),
+            proptest::collection::vec(0..c as u32, n),
+            // Sort keys that shuffle the rows.
+            proptest::collection::vec(0..u32::MAX, n),
         )
-            .prop_map(|(a, b, c, y)| {
-                let n = y.len();
-                let data = Dataset::new(
-                    vec![
-                        Feature {
-                            name: "a".into(),
-                            domain_size: 3,
-                            codes: a,
-                        },
-                        Feature {
-                            name: "b".into(),
-                            domain_size: 4,
-                            codes: b,
-                        },
-                        Feature {
-                            name: "c".into(),
-                            domain_size: 2,
-                            codes: c,
-                        },
-                    ],
-                    y,
-                    2,
-                );
-                let split = n / 2;
-                let train: Vec<usize> = (0..split).collect();
-                let validation: Vec<usize> = (split..n).collect();
+            .prop_map(move |(kinds, raw, y, keys)| {
+                let mut features: Vec<Feature> = Vec::with_capacity(k);
+                for (j, &(kind, domain)) in kinds.iter().enumerate() {
+                    let (domain_size, codes) = match (kind, features.last()) {
+                        (0, _) => (domain as usize, vec![0; n]),
+                        (1, Some(prev)) => (prev.domain_size, prev.codes.clone()),
+                        _ => (
+                            domain as usize,
+                            raw[j * n..(j + 1) * n].iter().map(|v| v % domain).collect(),
+                        ),
+                    };
+                    features.push(Feature {
+                        name: format!("f{j}"),
+                        domain_size,
+                        codes,
+                    });
+                }
+                let data = Dataset::new(features, y, c);
+                let mut rows: Vec<usize> = (0..n).collect();
+                rows.sort_by_key(|&r| keys[r]);
+                // 40% train, 30% validation, the rest unused.
+                let n_train = n * 2 / 5;
+                let train = rows[..n_train].to_vec();
+                let validation = rows[n_train..n_train + n * 3 / 10].to_vec();
                 (data, train, validation)
             })
     })
@@ -60,11 +63,11 @@ proptest! {
     #[test]
     fn suffstats_nb_assembly_matches_direct_fit(
         (data, train, _val) in labeled_data(),
-        mask in 0u32..8,
+        mask in 0u32..1 << 24,
         fold in 0usize..3,
         alpha_step in 1u32..5,
     ) {
-        let feats: Vec<usize> = (0..3).filter(|i| mask & (1 << i) != 0).collect();
+        let feats: Vec<usize> = (0..data.n_features()).filter(|i| mask & (1 << i) != 0).collect();
         // An arbitrary "fold": every third row, offset by `fold`.
         let fold_rows: Vec<usize> = train.iter().copied().filter(|r| r % 3 != fold).collect();
         prop_assume!(!fold_rows.is_empty());
@@ -97,7 +100,8 @@ proptest! {
 
     /// (b) Every selection method returns the identical result — features,
     /// errors, trace, and `model_fits` — at 1, 2, and 8 workers, and all
-    /// of them equal the seed serial implementation.
+    /// of them equal the seed serial implementation, under the paper's
+    /// metric for the class count (zero-one or RMSE).
     #[test]
     fn selection_is_thread_count_invariant_and_matches_reference(
         (data, train, validation) in labeled_data(),
@@ -108,9 +112,9 @@ proptest! {
             train: &train,
             validation: &validation,
             classifier: &nb,
-            metric: ErrorMetric::ZeroOne,
+            metric: ErrorMetric::for_classes(data.n_classes()),
         };
-        let candidates = [0usize, 1, 2];
+        let candidates: Vec<usize> = (0..data.n_features()).collect();
         for method in Method::ALL {
             let serial = reference::run_method(method, &ctx, &candidates);
             for threads in [1usize, 2, 8] {
@@ -122,11 +126,13 @@ proptest! {
                 );
             }
         }
-        // Exhaustive search too (not part of `Method::ALL`).
-        let serial = reference::exhaustive_selection(&ctx, &candidates);
+        // Exhaustive search too (not part of `Method::ALL`), over the
+        // first 8 candidates.
+        let candidates = &candidates[..8.min(candidates.len())];
+        let serial = reference::exhaustive_selection(&ctx, candidates);
         for threads in [1usize, 2, 8] {
             let engine = SweepEngine::new(&ctx).with_threads(threads);
-            let got = engine.exhaustive(&candidates);
+            let got = engine.exhaustive(candidates);
             prop_assert_eq!(&got, &serial, "exhaustive diverged at {} threads", threads);
         }
     }
